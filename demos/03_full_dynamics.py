@@ -2,7 +2,7 @@
 forms: strong-drive convergence and cavity-state insensitivity at small,
 fast settings (coarser than the acceptance runs).
 
-Run: python3 demos/03_full_dynamics.py   (about a minute)
+Run: python3 demos/03_full_dynamics.py
 """
 
 import time

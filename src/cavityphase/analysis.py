@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections.abc import Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product as _grid_product
 from types import MappingProxyType
@@ -149,6 +148,15 @@ def step_hamiltonian(
 
     Local step time starts at zero.  ``rabi_scales`` multiplies each
     qubit's drive amplitude (used for inhomogeneity studies).
+
+    The step also declares its rotating frame
+    ``Gamma = c_cav a+a + sum_j c_j |1><1|_j``, which makes it static:
+    driven qubits stay put (``c_j = 0``), so every driven coupled qubit
+    must see one shared detuning ``delta`` and ``c_cav = -delta`` (0 when
+    none is driven and coupled); an undriven coupled qubit rotates at
+    ``c_j = delta_j + c_cav``.  Driven coupled qubits at unequal detunings
+    admit no such frame; the step then carries none and is integrated
+    adaptively.
     """
     nq = space.num_qubits
     if len(step.qubits) != nq:
@@ -163,7 +171,14 @@ def step_hamiltonian(
     max_freq = 0.0
     if space.has_cavity:
         a, _ = cavity_ops(space)
+    driven_detunings: set[float] = set()
+    undriven_coupled: list[tuple[int, float]] = []
     for j, q in enumerate(step.qubits, start=1):
+        if q.coupled:
+            if q.drive_rabi > 0:
+                driven_detunings.add(q.detuning)
+            else:
+                undriven_coupled.append((j, q.detuning))
         if q.drive_rabi > 0:
             rabi = q.drive_rabi * scales[j - 1]
             sm = embed_qubit_op(space, j, SIGMA_MINUS).entries
@@ -186,7 +201,18 @@ def step_hamiltonian(
             h += rot + rot.conj().T
         return h
 
-    return TimeDependentHamiltonian(space=space, builder=builder, max_frequency=max_freq)
+    frame = None
+    if len(driven_detunings) <= 1:
+        c_cav = -driven_detunings.pop() if driven_detunings else 0.0
+        frame = np.zeros(dim)
+        if space.has_cavity:  # photon number of each basis state, cavity last
+            frame += c_cav * np.tile(np.arange(space.cavity_dim, dtype=float), space.qubit_dim)
+        excited = np.diag([0.0, 1.0])
+        for j, delta in undriven_coupled:
+            frame += (delta + c_cav) * embed_qubit_op(space, j, excited).entries.diagonal().real
+    return TimeDependentHamiltonian(
+        space=space, builder=builder, max_frequency=max_freq, frame=frame
+    )
 
 
 def propagate_schedule(
@@ -705,6 +731,10 @@ def run_experiment(config: ExperimentConfig) -> GateReport:
         "integrator_tol": float(config.tol),
         "fock_cutoff": int(config.fock_cutoff),
         "step_count": int(prop.step_count),
+        "propagation": [
+            {"step": step.label, "path": path, "step_count": int(count)}
+            for step, (path, count) in zip(schedule.steps, prop.paths)
+        ],
         "max_unitarity_defect": float(defect),
         "worst_case_top_level_bound": float(prop.truncation_leakage),
         "top_level_population": {k: float(v) for k, v in top_populations.items()},
@@ -765,6 +795,9 @@ def run_sweep(
     ]
     tasks = [(config, assignment) for assignment in assignments]
     if jobs > 1:
+        # imported here: only parallel sweeps need multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_sweep_point, tasks))
     else:

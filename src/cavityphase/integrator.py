@@ -1,12 +1,20 @@
 """Time-ordered propagation of time-dependent Hermitian Hamiltonians.
 
-The scheme is second-order midpoint exponential stepping: each sub-interval
-contributes ``exp(-i h H(midpoint))``, so every factor is exactly unitary
-and the product cannot drift off the unitary group.  Accuracy is controlled
-by comparing one full step against two half steps (a Richardson-style error
-estimate) and bisecting intervals until the local error fits its share of
-the global tolerance.  The initial grid resolves the fastest known
-oscillation of the Hamiltonian at ``oversample`` points per period.
+A Hamiltonian that declares a rotating frame ``Gamma`` (diagonal, with
+``H(t) = exp(i Gamma (t - t0)) H(t0) exp(-i Gamma (t - t0))``) is propagated
+exactly: ``U = exp(i Gamma T) exp(-i (H(t0) + Gamma) T)``, one
+eigendecomposition per interval.  Every other Hamiltonian goes through the
+adaptive integrator below, which is also the oracle the frame path is
+tested against.
+
+The adaptive scheme is second-order midpoint exponential stepping: each
+sub-interval contributes ``exp(-i h H(midpoint))``, so every factor is
+exactly unitary and the product cannot drift off the unitary group.
+Accuracy is controlled by comparing one full step against two half steps
+(a Richardson-style error estimate) and bisecting intervals until the
+local error fits its share of the global tolerance.  The initial grid
+resolves the fastest known oscillation of the Hamiltonian at
+``oversample`` points per period.
 
 Propagation is deterministic: identical inputs produce identical outputs
 within one build.
@@ -16,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,6 +44,10 @@ __all__ = [
 #: Top-Fock-level population above which results are flagged.
 TRUNCATION_FLAG_THRESHOLD = 1e-6
 
+#: Largest disagreement, relative to the max-norm of H(t0), between the
+#: builder and the frame-rotated H(t0) at the interval midpoint.
+_FRAME_CHECK_RTOL = 1e-10
+
 _DEFAULT_OVERSAMPLE = 20
 _DEFAULT_STEP_BUDGET = 2_000_000
 
@@ -45,11 +57,27 @@ class TimeDependentHamiltonian:
     """A builder ``t -> H(t)`` (dense Hermitian matrix, angular-frequency
     units) together with the largest oscillation frequency appearing in its
     time dependence (rad/s; 0 for a constant Hamiltonian).  The hint only
-    sets the initial step size, adaptivity does the rest."""
+    sets the initial step size, adaptivity does the rest.
+
+    ``frame``, when set, is the diagonal of a real ``Gamma`` with
+    ``H(t) = exp(i Gamma (t - t0)) H(t0) exp(-i Gamma (t - t0))`` for every
+    ``t0``; propagation then uses the exact frame propagator instead of
+    adaptive stepping."""
 
     space: SpaceDescriptor
     builder: Callable[[float], np.ndarray]
     max_frequency: float = 0.0
+    frame: np.ndarray | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.frame is not None:
+            frame = np.array(self.frame, dtype=float)
+            if frame.shape != (self.space.dim,):
+                raise DimensionMismatchError(
+                    f"frame needs {self.space.dim} diagonal entries, got shape {frame.shape}"
+                )
+            frame.flags.writeable = False
+            object.__setattr__(self, "frame", frame)
 
     def __call__(self, t: float) -> np.ndarray:
         return self.builder(t)
@@ -62,13 +90,15 @@ class PropagationResult:
     ``truncation_leakage`` bounds the population an initially-below-cutoff
     state can acquire at the top Fock level (operator norm of the top-level
     block of the propagator restricted to lower levels); 0 for cavity-free
-    spaces.
+    spaces.  ``paths`` holds ``(path, step_count)`` for each propagated
+    interval in order, ``path`` being ``"frame"`` or ``"adaptive"``.
     """
 
     propagator: OperatorMatrix
     step_count: int
     max_unitarity_defect: float
     truncation_leakage: float
+    paths: tuple[tuple[str, int], ...] = ()
 
     @property
     def space(self) -> SpaceDescriptor:
@@ -118,6 +148,28 @@ def _top_level_leakage(u: np.ndarray, space: SpaceDescriptor) -> float:
     return float(smax**2)
 
 
+def _frame_propagator(
+    h: TimeDependentHamiltonian, t0: float, t1: float, mid_sample: np.ndarray
+) -> np.ndarray:
+    """Exact propagator ``exp(i Gamma T) exp(-i (H(t0) + Gamma) T)`` of a
+    Hamiltonian with a declared frame, after checking the builder's value
+    at the midpoint against the frame-rotated ``H(t0)``."""
+    gamma = h.frame
+    h0 = h(t0)
+    mid = 0.5 * (t0 + t1)
+    phase = np.exp(1j * (mid - t0) * gamma)
+    rotated = phase[:, None] * h0 * phase.conj()
+    mismatch = float(np.max(np.abs(mid_sample - rotated)))
+    if mismatch > _FRAME_CHECK_RTOL * float(np.max(np.abs(h0))):
+        raise ValueError(
+            f"builder disagrees with its declared frame at t = {mid:.6g} "
+            f"(max deviation {mismatch:.3e})"
+        )
+    span = t1 - t0
+    w, v = np.linalg.eigh(h0 + np.diag(gamma))
+    return np.exp(1j * span * gamma)[:, None] * ((v * np.exp(-1j * span * w)) @ v.conj().T)
+
+
 def _adaptive_sweep(
     h: TimeDependentHamiltonian,
     t0: float,
@@ -127,23 +179,12 @@ def _adaptive_sweep(
     step_budget: int,
     start: np.ndarray,
 ):
-    """Shared adaptive driver for propagators (``start`` a matrix) and
-    states (``start`` a vector).  Each interval is accepted when its two
+    """Adaptive driver for propagators (``start`` a matrix) and states
+    (``start`` a vector).  Each interval is accepted when its two
     half-steps agree with the single midpoint step within the interval's
     share of the tolerance, otherwise it is bisected; the half-step
     exponentials are handed down as the children's coarse candidates.
     Returns (accumulator, accepted_step_count)."""
-    if t1 <= t0:
-        raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-    if not 0.0 < tol <= 1e-2:
-        raise ValueError(f"tolerance must lie in (0, 1e-2], got {tol}")
-    # spot-check the Hermiticity contract once; every step assumes it
-    sample = h(0.5 * (t0 + t1))
-    herm_defect = float(np.max(np.abs(sample - sample.conj().T)))
-    if herm_defect > 1e-10:
-        raise ValueError(
-            f"builder returned a non-Hermitian matrix (defect {herm_defect:.3e})"
-        )
     acc_is_matrix = start.ndim == 2
     span = t1 - t0
     n0 = _initial_grid(t0, t1, h.max_frequency, oversample)
@@ -184,6 +225,36 @@ def _adaptive_sweep(
     return acc, accepted
 
 
+def _sweep(
+    h: TimeDependentHamiltonian,
+    t0: float,
+    t1: float,
+    tol: float,
+    oversample: int,
+    step_budget: int,
+    start: np.ndarray,
+):
+    """Shared driver of :func:`propagate` and :func:`evolve_state`: apply
+    the propagator over ``[t0, t1]`` to ``start``, on the frame path when
+    ``h`` declares a frame and adaptively otherwise.  Returns
+    (accumulator, path, step_count)."""
+    if t1 <= t0:
+        raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
+    if not 0.0 < tol <= 1e-2:
+        raise ValueError(f"tolerance must lie in (0, 1e-2], got {tol}")
+    # spot-check the Hermiticity contract once; every step assumes it
+    sample = h(0.5 * (t0 + t1))
+    herm_defect = float(np.max(np.abs(sample - sample.conj().T)))
+    if herm_defect > 1e-10:
+        raise ValueError(
+            f"builder returned a non-Hermitian matrix (defect {herm_defect:.3e})"
+        )
+    if h.frame is not None:
+        return _frame_propagator(h, t0, t1, sample) @ start, "frame", 1
+    acc, accepted = _adaptive_sweep(h, t0, t1, tol, oversample, step_budget, start)
+    return acc, "adaptive", accepted
+
+
 def propagate(
     h: TimeDependentHamiltonian,
     t0: float,
@@ -193,17 +264,19 @@ def propagate(
     step_budget: int = _DEFAULT_STEP_BUDGET,
 ) -> PropagationResult:
     """Time-ordered propagator of ``h`` over ``[t0, t1]`` to accuracy
-    ``tol`` (max-norm, accumulated over the interval)."""
+    ``tol`` (max-norm, accumulated over the interval).  Exact up to
+    round-off when ``h`` declares a frame."""
     dim = h.space.dim
-    u, accepted = _adaptive_sweep(
+    u, path, steps = _sweep(
         h, t0, t1, tol, oversample, step_budget, start=np.eye(dim, dtype=complex)
     )
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
     return PropagationResult(
         propagator=OperatorMatrix(h.space, u),
-        step_count=accepted,
+        step_count=steps,
         max_unitarity_defect=defect,
         truncation_leakage=_top_level_leakage(u, h.space),
+        paths=((path, steps),),
     )
 
 
@@ -216,14 +289,14 @@ def evolve_state(
     oversample: int = _DEFAULT_OVERSAMPLE,
     step_budget: int = _DEFAULT_STEP_BUDGET,
 ) -> StateVector:
-    """Evolve a state with the same adaptive stepping as :func:`propagate`.
+    """Evolve a state with the same driver as :func:`propagate`.
 
     Warns with :class:`TruncationWarning` when the final population of the
     top Fock level exceeds the flag threshold.
     """
     if psi0.space != h.space:
         raise DimensionMismatchError("initial state lives on a different space")
-    amps, _ = _adaptive_sweep(
+    amps, _, _ = _sweep(
         h, t0, t1, tol, oversample, step_budget, start=psi0.amplitudes.copy()
     )
     if h.space.has_cavity:
@@ -261,4 +334,5 @@ def compose(results: Sequence[PropagationResult]) -> PropagationResult:
         step_count=sum(r.step_count for r in results),
         max_unitarity_defect=sum(r.max_unitarity_defect for r in results),
         truncation_leakage=max(r.truncation_leakage for r in results),
+        paths=tuple(p for r in results for p in r.paths),
     )

@@ -4,8 +4,9 @@ pass/fail line (run with ``pytest tests/test_acceptance.py -v -s``).
 Derived regression numbers were produced by ``scripts/freeze_regressions.py``
 on the first verified run and are asserted within an absolute window of
 1e-4, far below the physical effects under test but wide enough to absorb
-BLAS variation across builds.  Expect a few minutes of runtime: criteria
-7-9 run the full integrator at tolerance 1e-6.
+BLAS variation across builds.  Criteria 7-9 propagate schedules on the
+exact rotating-frame path; criterion 6 integrates adaptively and takes
+most of the module's few seconds.
 """
 
 import math

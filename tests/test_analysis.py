@@ -333,6 +333,15 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(config)
 
+    def test_report_names_the_propagation_path_of_each_step(self):
+        config = ExperimentConfig(n=1, g_hz=1.0, fock_cutoff=2, tol=1e-3)
+        report = run_experiment(config)
+        assert report.diagnostics["propagation"] == [
+            {"step": label, "path": "frame", "step_count": 1}
+            for label in ("i", "ii", "iii")
+        ]
+        assert report.diagnostics["step_count"] == 3
+
     def test_report_serializes_to_plain_json(self):
         import json
 

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import reference_circuit
 
+import cavityphase
 from cavityphase import cli
 from cavityphase.errors import StepBudgetExceededError
 
@@ -238,3 +243,18 @@ class TestReport:
 
     def test_missing_file_exits_one(self, tmp_path):
         assert cli.main(["report", str(tmp_path / "nope.json")]) == 1
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # only parallel sweeps need a process pool; importing the package
+    # must not pay for one
+    src = str(Path(cavityphase.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, cavityphase.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
