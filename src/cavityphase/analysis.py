@@ -35,9 +35,10 @@ from .hilbert import (
     OperatorMatrix,
     SpaceDescriptor,
     StateVector,
+    annihilation,
+    basis_bits,
     cavity_coherent,
     cavity_fock,
-    cavity_ops,
     cavity_thermal,
     cavity_vacuum,
     channel_fidelity,
@@ -45,6 +46,7 @@ from .hilbert import (
     gate_fidelity,
     make_space,
     qubit_space,
+    x_basis_product_states,
     z_basis_product_states,
 )
 from .integrator import (
@@ -86,6 +88,7 @@ __all__ = [
     "top_level_population",
     "SWEEPABLE_PARAMETERS",
     "MAX_STATE_TRUNCATION_WEIGHT",
+    "MAX_SPACE_DIM",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -170,7 +173,8 @@ def step_hamiltonian(
     oscillators: list[tuple[float, np.ndarray]] = []
     max_freq = 0.0
     if space.has_cavity:
-        a, _ = cavity_ops(space)
+        qspace = space.qubit_subspace()
+        a_local = annihilation(space.fock_cutoff)
     driven_detunings: set[float] = set()
     undriven_coupled: list[tuple[int, float]] = []
     for j, q in enumerate(step.qubits, start=1):
@@ -181,17 +185,19 @@ def step_hamiltonian(
                 undriven_coupled.append((j, q.detuning))
         if q.drive_rabi > 0:
             rabi = q.drive_rabi * scales[j - 1]
-            sm = embed_qubit_op(space, j, SIGMA_MINUS).entries
-            sp = embed_qubit_op(space, j, SIGMA_PLUS).entries
-            static += 0.5 * rabi * (
-                np.exp(1j * q.drive_phase) * sm + np.exp(-1j * q.drive_phase) * sp
+            drive = 0.5 * rabi * (
+                np.exp(1j * q.drive_phase) * SIGMA_MINUS
+                + np.exp(-1j * q.drive_phase) * SIGMA_PLUS
             )
+            static += embed_qubit_op(space, j, drive).entries
             max_freq = max(max_freq, rabi)
         if q.coupled:
             if not space.has_cavity:
                 raise ValueError("coupled step needs a cavity factor in the space")
-            sp = embed_qubit_op(space, j, SIGMA_PLUS).entries
-            oscillators.append((q.detuning, q.coupling * (a.entries @ sp)))
+            # a sigma+_j = sigma+_j (x) a on the (qubits, cavity) tensor shape
+            sp = embed_qubit_op(qspace, j, SIGMA_PLUS).entries
+            term = q.coupling * sp[:, None, :, None] * a_local[None, :, None, :]
+            oscillators.append((q.detuning, term.reshape(dim, dim)))
             max_freq = max(max_freq, abs(q.detuning))
 
     def builder(t: float) -> np.ndarray:
@@ -207,9 +213,8 @@ def step_hamiltonian(
         frame = np.zeros(dim)
         if space.has_cavity:  # photon number of each basis state, cavity last
             frame += c_cav * np.tile(np.arange(space.cavity_dim, dtype=float), space.qubit_dim)
-        excited = np.diag([0.0, 1.0])
-        for j, delta in undriven_coupled:
-            frame += (delta + c_cav) * embed_qubit_op(space, j, excited).entries.diagonal().real
+        for j, delta in undriven_coupled:  # |1><1|_j on every basis state
+            frame += (delta + c_cav) * np.repeat(basis_bits(nq, j), space.cavity_dim)
     return TimeDependentHamiltonian(
         space=space, builder=builder, max_frequency=max_freq, frame=frame
     )
@@ -238,11 +243,11 @@ def propagate_schedule(
     return compose(results)
 
 
-def schedule_channel(
+def _cavity_columns(
     propagator: OperatorMatrix, cavity_state: DensityMatrix
-):
-    """Qubit-space channel induced by a full-space propagator with the
-    cavity prepared in ``cavity_state``: evolve, then trace out the cavity."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weights ``w_k`` and full-space maps ``U (I_q (x) chi_k)`` of the
+    cavity state's eigenvectors ``chi_k``, stacked as ``(k, dim, qubit_dim)``."""
     space = propagator.space
     if not space.has_cavity:
         raise ValueError("propagator must act on a qubits-plus-cavity space")
@@ -251,16 +256,23 @@ def schedule_channel(
     weights, vecs = np.linalg.eigh(cavity_state.entries)
     keep = weights > 1e-14
     weights, vecs = weights[keep], vecs[:, keep]
-    u = propagator.entries
+    u = propagator.entries.reshape(space.dim, space.qubit_dim, space.cavity_dim)
+    return weights, np.moveaxis(u @ vecs, -1, 0)
+
+
+def schedule_channel(
+    propagator: OperatorMatrix, cavity_state: DensityMatrix
+):
+    """Qubit-space channel induced by a full-space propagator with the
+    cavity prepared in ``cavity_state``: evolve, then trace out the cavity."""
+    space = propagator.space
+    weights, columns = _cavity_columns(propagator, cavity_state)
     qd, cd = space.qubit_dim, space.cavity_dim
     qspace = space.qubit_subspace()
 
     def channel(psi_q: StateVector) -> DensityMatrix:
-        rho = np.zeros((qd, qd), dtype=complex)
-        for w, chi in zip(weights, vecs.T):
-            full = u @ np.kron(psi_q.amplitudes, chi)
-            m = full.reshape(qd, cd)
-            rho += w * (m @ m.conj().T)
+        m = (columns @ psi_q.amplitudes).reshape(-1, qd, cd)
+        rho = np.einsum("k,kic,kjc->ij", weights, m, m.conj())
         return DensityMatrix(qspace, rho, validate=False)
 
     return channel
@@ -279,22 +291,15 @@ def top_level_population(
     that start next to the truncation wall and is far more pessimistic.
     """
     space = propagator.space
-    qd, cd = space.qubit_dim, space.cavity_dim
     if probes is None:
-        from .hilbert import x_basis_product_states
-
         probes = x_basis_product_states(space.num_qubits)
-    weights, vecs = np.linalg.eigh(cavity_state.entries)
-    keep = weights > 1e-14
-    weights, vecs = weights[keep], vecs[:, keep]
-    worst = 0.0
-    for psi in probes:
-        pop = 0.0
-        for w, chi in zip(weights, vecs.T):
-            out = propagator.entries @ np.kron(psi.amplitudes, chi)
-            pop += w * float(np.sum(np.abs(out.reshape(qd, cd)[:, -1]) ** 2))
-        worst = max(worst, pop)
-    return worst
+    if len(probes) == 0:
+        return 0.0
+    weights, columns = _cavity_columns(propagator, cavity_state)
+    top_rows = columns[:, space.cavity_dim - 1 :: space.cavity_dim, :]
+    stacked = np.stack([psi.amplitudes for psi in probes], axis=1)
+    pops = np.einsum("k,kip->p", weights, np.abs(top_rows @ stacked) ** 2)
+    return float(pops.max())
 
 
 def effective_gates_from_schedule(schedule: Schedule) -> tuple[EffectiveGate, ...]:
@@ -458,6 +463,20 @@ def rabi_deviation_sensitivity(
 
 SWEEPABLE_PARAMETERS = ("omega_ratio", "k", "n", "g_hz", "fock_cutoff")
 
+#: Largest full-space dimension ``2^(n+1) (fock_cutoff + 1)`` a config may
+#: ask for: one dense propagator of this size takes 256 MiB.
+MAX_SPACE_DIM = 4096
+
+#: Numeric config fields that must be positive, or non-negative, when set.
+_POSITIVE_FIELDS = (
+    "n", "g_hz", "omega_ratio", "g_prime_hz", "fock_cutoff", "tol",
+    "decouple_factor", "cavity_freq_hz", "q_factor", "t1_s", "t2_s",
+    "leakage_detuning_ratio",
+)
+_NON_NEGATIVE_FIELDS = (
+    "tau_a_s", "tau_m_s", "rabi_deviation_fraction", "rabi_deviation_trials",
+)
+
 REALIZATIONS = ("method-a", "method-b", "charge", "atomic")
 
 
@@ -516,6 +535,28 @@ class ExperimentConfig:
     leakage_case: str = "L"
     leakage_detuning_ratio: float = 10.0
     sweep: tuple[SweepAxis, ...] = ()
+
+    def __post_init__(self):
+        for name in ("k", "seed", *_POSITIVE_FIELDS, *_NON_NEGATIVE_FIELDS):
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}", name)
+        for name in _POSITIVE_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{name} must be positive, got {value!r}", name)
+        for name in _NON_NEGATIVE_FIELDS:
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)!r}", name)
+        qubits = int(self.n) + 1
+        # 2^qubits alone exceeds the cap once qubits reaches its bit length
+        too_many_qubits = qubits >= MAX_SPACE_DIM.bit_length()
+        if too_many_qubits or 2**qubits * (int(self.fock_cutoff) + 1) > MAX_SPACE_DIM:
+            raise ConfigError(
+                f"n = {self.n} and fock_cutoff = {self.fock_cutoff} give a space "
+                f"dimension 2^(n+1) (fock_cutoff+1) above {MAX_SPACE_DIM}",
+                "n" if too_many_qubits else "fock_cutoff",
+            )
 
     @classmethod
     def from_dict(cls, data: dict) -> ExperimentConfig:
@@ -757,16 +798,21 @@ def run_experiment(config: ExperimentConfig) -> GateReport:
     )
 
 
-def _sweep_point(args: tuple[ExperimentConfig, tuple[tuple[str, float], ...]]) -> dict:
-    config, assignment = args
+def _sweep_point(config: ExperimentConfig) -> dict:
+    # plain dict so the result pickles across process boundaries
+    return run_experiment(config).to_json_dict()
+
+
+def _point_config(
+    config: ExperimentConfig, assignment: tuple[tuple[str, float], ...]
+) -> ExperimentConfig:
     changes: dict = {}
     for name, value in assignment:
         if name in ("k", "n", "fock_cutoff"):
             changes[name] = int(value)
         else:
             changes[name] = float(value)
-    # plain dict so the result pickles across process boundaries
-    return run_experiment(config.replace(**changes, sweep=())).to_json_dict()
+    return config.replace(**changes, sweep=())
 
 
 def run_sweep(
@@ -793,7 +839,8 @@ def run_sweep(
         tuple(zip(names, values))
         for values in _grid_product(*(ax.values for ax in config.sweep))
     ]
-    tasks = [(config, assignment) for assignment in assignments]
+    # every point is validated before any runs
+    tasks = [_point_config(config, assignment) for assignment in assignments]
     if jobs > 1:
         # imported here: only parallel sweeps need multiprocessing
         from concurrent.futures import ProcessPoolExecutor

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -84,7 +85,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built on first use and shared by every
+    ``main`` call in the process (parsing leaves it unchanged)."""
     parser = _Parser(prog="cavityphase", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

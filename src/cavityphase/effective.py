@@ -17,15 +17,17 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import SingularDetuningError, WrongCaseError
-from .hamiltonians import collective_ops, h_step3
+from .hamiltonians import collective_ops
 from .hilbert import (
     HADAMARD,
     SIGMA_X,
     OperatorMatrix,
     SpaceDescriptor,
+    basis_bits,
     cavity_ops,
     embed_qubit_op,
     qubit_space,
+    sign_matrix,
     x_basis_transform,
 )
 from .protocol import ParamSet, HARD_TAGS
@@ -131,14 +133,40 @@ class EffectiveGate:
         return w @ self.matrix.entries @ w
 
 
-def _sx_phase_gate(
-    space: SpaceDescriptor, included, linear: float, quadratic: float
+def _sx_values(num_qubits: int, included) -> np.ndarray:
+    """Eigenvalue ``m = sum_j (1 - 2 b_j)`` of S_x over the included qubits
+    on every sigma-x product basis state (bit 0 -> |+>, bit 1 -> |->)."""
+    m = np.zeros(2**num_qubits)
+    for j in included:
+        m += 1 - 2 * basis_bits(num_qubits, j)
+    return m
+
+
+def _x_diagonal_gate(num_qubits: int, diag: np.ndarray) -> np.ndarray:
+    """Qubit-space matrix of the gate with sigma-x-basis eigenvalues
+    ``diag``: ``(S * diag) @ S / 2**num_qubits`` with the exact +-1 sign
+    matrix, divided once.  ``S[i, j] S[j, k] = S[i ^ k, j]``, so entry
+    ``(i, k)`` is ``(S @ diag)[i ^ k] / 2**num_qubits``: one matrix-vector
+    product instead of a matrix product."""
+    column = sign_matrix(num_qubits) @ diag / 2**num_qubits
+    index = np.arange(2**num_qubits)
+    return column[index[:, None] ^ index[None, :]]
+
+
+def _sx_phases(
+    num_qubits: int, included, linear: float, quadratic: float
 ) -> np.ndarray:
-    """exp(i (linear S_x + quadratic S_x^2)) over the included qubits,
-    evaluated in the S_x eigenbasis."""
-    _, _, _, s_x = collective_ops(space, included)
-    w, v = np.linalg.eigh(s_x.entries)
-    return (v * np.exp(1j * (linear * w + quadratic * w**2))) @ v.conj().T
+    """Phases of exp(i (linear S_x + quadratic S_x^2)) over the included
+    qubits, one per sigma-x product basis state."""
+    m = _sx_values(num_qubits, included)
+    return linear * m + quadratic * m**2
+
+
+def _step3_phases(num_qubits: int, omega1: float, omega_r: float, tau: float) -> np.ndarray:
+    """Phases of exp(-i tau (omega1 sigma_x,1 + omega_r S'_x) / 2)."""
+    m1 = _sx_values(num_qubits, (1,))
+    m_targets = _sx_values(num_qubits, range(2, num_qubits + 1))
+    return -0.5 * tau * (omega1 * m1 + omega_r * m_targets)
 
 
 def effective_step1(
@@ -155,11 +183,11 @@ def effective_step1(
     if delta >= 0:
         raise WrongCaseError(f"first step needs delta < 0, got {delta}")
     qspace = space.qubit_subspace() if space.has_cavity else space
+    nq = qspace.num_qubits
     tau = TWO_PI / abs(delta)
     lam = -(g**2) / (4.0 * delta)
-    mat = _sx_phase_gate(
-        qspace, range(1, qspace.num_qubits + 1), 0.5 * omega * tau, lam * tau
-    )
+    phases = _sx_phases(nq, range(1, nq + 1), 0.5 * omega * tau, lam * tau)
+    mat = _x_diagonal_gate(nq, np.exp(1j * phases))
     return EffectiveGate(OperatorMatrix(qspace, mat), label="step1")
 
 
@@ -175,16 +203,15 @@ def effective_step2(
     if delta_prime <= 0:
         raise WrongCaseError(f"second step needs delta' > 0, got {delta_prime}")
     qspace = space.qubit_subspace() if space.has_cavity else space
-    if qspace.num_qubits < 2:
+    nq = qspace.num_qubits
+    if nq < 2:
         raise ValueError("second step needs at least one target qubit")
     tau_prime = TWO_PI / delta_prime
     lam_prime = g_prime**2 / (4.0 * delta_prime)
-    mat = _sx_phase_gate(
-        qspace,
-        range(2, qspace.num_qubits + 1),
-        -0.5 * omega_prime * tau_prime,
-        -lam_prime * tau_prime,
+    phases = _sx_phases(
+        nq, range(2, nq + 1), -0.5 * omega_prime * tau_prime, -lam_prime * tau_prime
     )
+    mat = _x_diagonal_gate(nq, np.exp(1j * phases))
     return EffectiveGate(OperatorMatrix(qspace, mat), label="step2")
 
 
@@ -197,9 +224,8 @@ def effective_step3(
     if tau <= 0:
         raise ValueError(f"evolution time must be positive, got {tau}")
     qspace = space.qubit_subspace() if space.has_cavity else space
-    h = h_step3(qspace, omega1, omega_r)
-    w, v = np.linalg.eigh(h.entries)
-    mat = (v * np.exp(-1j * tau * w)) @ v.conj().T
+    nq = qspace.num_qubits
+    mat = _x_diagonal_gate(nq, np.exp(1j * _step3_phases(nq, omega1, omega_r, tau)))
     return EffectiveGate(OperatorMatrix(qspace, mat), label="step3")
 
 
@@ -209,21 +235,19 @@ def three_step_composition(space: SpaceDescriptor, params: ParamSet) -> Effectiv
     No conditions are assumed (not even the detuning signs); this is the
     closed-form model of whatever the parameter set actually does, built
     from the stored frequencies and the derived ``tau``/``lam`` values.
+    All three steps are diagonal in the sigma-x product basis, so the
+    product is that of their phase vectors.
     """
     qspace = space.qubit_subspace() if space.has_cavity else space
-    all_qubits = range(1, qspace.num_qubits + 1)
-    targets = range(2, qspace.num_qubits + 1)
-    u1 = _sx_phase_gate(
-        qspace, all_qubits, 0.5 * params.omega * params.tau, params.lam * params.tau
+    nq = qspace.num_qubits
+    p = params
+    phases1 = _sx_phases(nq, range(1, nq + 1), 0.5 * p.omega * p.tau, p.lam * p.tau)
+    phases2 = _sx_phases(
+        nq, range(2, nq + 1), -0.5 * p.omega_prime * p.tau_prime, -p.lam_prime * p.tau_prime
     )
-    u2 = _sx_phase_gate(
-        qspace,
-        targets,
-        -0.5 * params.omega_prime * params.tau_prime,
-        -params.lam_prime * params.tau_prime,
-    )
-    u3 = effective_step3(qspace, params.omega1, params.omega_r, params.tau)
-    mat = u3.matrix.entries @ u2 @ u1
+    d1, d2 = np.exp(1j * phases1), np.exp(1j * phases2)
+    d3 = np.exp(1j * _step3_phases(nq, p.omega1, p.omega_r, p.tau))
+    mat = _x_diagonal_gate(nq, d3 * d2 * d1)
     return EffectiveGate(OperatorMatrix(qspace, mat), label="three-step")
 
 
@@ -237,9 +261,10 @@ def combined_evolution(space: SpaceDescriptor, params: ParamSet) -> EffectiveGat
     the violated condition tags as warnings.
     """
     qspace = space.qubit_subspace() if space.has_cavity else space
-    if qspace.num_qubits != params.n + 1:
+    nq = qspace.num_qubits
+    if nq != params.n + 1:
         raise ValueError(
-            f"space has {qspace.num_qubits} qubits but the parameter set "
+            f"space has {nq} qubits but the parameter set "
             f"expects {params.n + 1}"
         )
     violated = tuple(t for t in params.violated_tags if t in HARD_TAGS)
@@ -250,9 +275,12 @@ def combined_evolution(space: SpaceDescriptor, params: ParamSet) -> EffectiveGat
             label="combined",
             warnings=tuple(f"condition '{t}' violated" for t in violated),
         )
-    h_eff = effective_hamiltonian(qspace, params.n, params.lam)
-    w, v = np.linalg.eigh(h_eff.entries)
-    mat = (v * np.exp(-1j * params.tau * w)) @ v.conj().T
+    x1 = _sx_values(nq, (1,))
+    h = np.zeros(2**nq)
+    for j in range(2, nq + 1):
+        xj = _sx_values(nq, (j,))
+        h += x1 + xj - x1 * xj
+    mat = _x_diagonal_gate(nq, np.exp(-2j * params.lam * params.tau * h))
     return EffectiveGate(
         OperatorMatrix(qspace, mat),
         label="combined",
@@ -267,19 +295,16 @@ def ideal_ntcp(n: int) -> EffectiveGate:
     Diagonal in the per-qubit sigma-x product basis: when the control is in
     ``|->`` every target in ``|->`` contributes a sign flip, so the
     amplitude is ``(-1)^(number of targets in |->)``; nothing happens when
-    the control is in ``|+>``.
+    the control is in ``|+>``.  The matrix entries are exact.
     """
     if n < 1:
         raise ValueError(f"target count must be >= 1, got {n}")
     nq = n + 1
-    dim = 2**nq
-    diag = np.ones(dim, dtype=complex)
-    for idx in range(dim):
-        bits = [(idx >> (nq - 1 - pos)) & 1 for pos in range(nq)]
-        if bits[0] == 1 and sum(bits[1:]) % 2 == 1:
-            diag[idx] = -1.0
-    w = x_basis_transform(nq)
-    mat = (w * diag) @ w  # w diag(d) w, with w its own inverse
+    parity = np.zeros(2**nq, dtype=int)
+    for j in range(2, nq + 1):
+        parity ^= basis_bits(nq, j)
+    diag = 1.0 - 2.0 * (basis_bits(nq, 1) & parity)
+    mat = _x_diagonal_gate(nq, diag)
     return EffectiveGate(OperatorMatrix(qubit_space(nq), mat), label="ideal-ntcp")
 
 

@@ -40,6 +40,9 @@ __all__ = [
     "channel_fidelity",
     "unitarity_defect",
     "x_basis_transform",
+    "sign_matrix",
+    "basis_bits",
+    "annihilation",
     "x_basis_product_states",
     "z_basis_product_states",
     "qubit_basis_state",
@@ -284,8 +287,7 @@ def embed_qubit_op(
         raise DimensionMismatchError(f"local operator must be 2x2, got {local.shape}")
     left = 2 ** (qubit_index - 1)
     right = space.dim // (2 * left)
-    out = np.kron(np.kron(np.eye(left), local), np.eye(right))
-    return OperatorMatrix(space, out)
+    return OperatorMatrix(space, _embed(left, local, right))
 
 
 def cavity_ops(space: SpaceDescriptor) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -296,10 +298,23 @@ def cavity_ops(space: SpaceDescriptor) -> tuple[OperatorMatrix, OperatorMatrix]:
     """
     if not space.has_cavity:
         raise ValueError("space has no cavity factor")
-    cd = space.cavity_dim
-    a_local = np.diag(np.sqrt(np.arange(1, cd, dtype=float)), k=1).astype(complex)
-    a = np.kron(np.eye(space.qubit_dim), a_local)
+    a = _embed(space.qubit_dim, annihilation(space.fock_cutoff), 1)
     return OperatorMatrix(space, a), OperatorMatrix(space, a.conj().T)
+
+
+def annihilation(fock_cutoff: int) -> np.ndarray:
+    """Truncated annihilation operator on the cavity factor alone."""
+    return np.diag(np.sqrt(np.arange(1, fock_cutoff + 1, dtype=float)), k=1).astype(complex)
+
+
+def _embed(left: int, local: np.ndarray, right: int) -> np.ndarray:
+    """``I_left (x) local (x) I_right`` as a dense matrix: ``local`` is
+    written onto the block diagonal of a zero array of the tensor shape,
+    so no kron product is formed."""
+    k = local.shape[0]
+    out = np.zeros((left, k, right, left, k, right), dtype=complex)
+    np.einsum("iajibj->ijab", out)[...] = local  # writable diagonal view
+    return out.reshape(left * k * right, left * k * right)
 
 
 def partial_trace_cavity(rho: DensityMatrix) -> DensityMatrix:
@@ -331,7 +346,7 @@ def gate_fidelity(actual: OperatorMatrix, ideal: OperatorMatrix) -> float:
             f"gate dimensions differ: {actual.space.dim} vs {ideal.space.dim}"
         )
     d = actual.space.dim
-    return float(abs(np.trace(ideal.entries.conj().T @ actual.entries)) / d)
+    return float(abs(np.vdot(ideal.entries, actual.entries)) / d)
 
 
 def channel_fidelity(
@@ -357,14 +372,37 @@ def channel_fidelity(
     return total / len(probe_set)
 
 
+def basis_bits(num_qubits: int, qubit_index: int) -> np.ndarray:
+    """Bit of qubit ``qubit_index`` (1-based, qubit 1 most significant) in
+    every basis index ``0 .. 2**num_qubits - 1`` of the qubit factors."""
+    if not 1 <= qubit_index <= num_qubits:
+        raise ValueError(f"qubit_index {qubit_index} out of range 1..{num_qubits}")
+    return (np.arange(2**num_qubits) >> (num_qubits - qubit_index)) & 1
+
+
+def sign_matrix(num_qubits: int) -> np.ndarray:
+    """Sylvester-Hadamard sign matrix ``S[i, k] = (-1)^popcount(i & k)``
+    with exact +-1 entries, built by doubling.  ``S / 2**(num_qubits/2)``
+    is the Hadamard on every qubit and ``S @ S = 2**num_qubits I``, so a
+    gate with sigma-x-basis phases ``d`` is ``(S * d) @ S / 2**num_qubits``."""
+    dim = 2**num_qubits
+    out = np.empty((dim, dim))
+    out[0, 0] = 1.0
+    size = 1
+    while size < dim:
+        block = out[:size, :size]
+        out[:size, size : 2 * size] = block
+        out[size : 2 * size, :size] = block
+        np.negative(block, out=out[size : 2 * size, size : 2 * size])
+        size *= 2
+    return out
+
+
 def x_basis_transform(num_qubits: int) -> np.ndarray:
     """Unitary mapping computational basis index bits to sigma-x eigenstates,
     bit 0 -> |+> and bit 1 -> |->.  Equals the Hadamard on every qubit and
     is its own inverse."""
-    out = np.array([[1.0 + 0j]])
-    for _ in range(num_qubits):
-        out = np.kron(out, HADAMARD)
-    return out
+    return (sign_matrix(num_qubits) * 2.0 ** (-0.5 * num_qubits)).astype(complex)
 
 
 def x_basis_product_states(num_qubits: int) -> list[StateVector]:

@@ -8,6 +8,7 @@ import pytest
 from conftest import reference_circuit
 
 from cavityphase.analysis import (
+    MAX_SPACE_DIM,
     ConfigError,
     ExperimentConfig,
     LeakageSpec,
@@ -20,10 +21,23 @@ from cavityphase.analysis import (
     run_sweep,
     schedule_channel,
     step_hamiltonian,
+    top_level_population,
 )
 from cavityphase.effective import ideal_ntcp
-from cavityphase.hilbert import channel_fidelity, make_space
-from cavityphase.protocol import schedule_method_a, solve_parameters
+from cavityphase.hilbert import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    OperatorMatrix,
+    StateVector,
+    cavity_ops,
+    channel_fidelity,
+    embed_qubit_op,
+    make_space,
+    qubit_space,
+    x_basis_product_states,
+    z_basis_product_states,
+)
+from cavityphase.protocol import schedule_method_a, schedule_method_b, solve_parameters
 
 TWO_PI = 2.0 * math.pi
 
@@ -408,3 +422,139 @@ class TestRunSweep:
     def test_sweep_without_axes_rejected(self):
         with pytest.raises(ConfigError):
             run_sweep(ExperimentConfig())
+
+
+def loop_channel(propagator, cavity_state, psi_q):
+    """Reference reduction: one kron and one full-space matvec per cavity
+    eigenvector and probe."""
+    space = propagator.space
+    qd, cd = space.qubit_dim, space.cavity_dim
+    weights, vecs = np.linalg.eigh(cavity_state.entries)
+    keep = weights > 1e-14
+    rho = np.zeros((qd, qd), dtype=complex)
+    for w, chi in zip(weights[keep], vecs[:, keep].T):
+        m = (propagator.entries @ np.kron(psi_q.amplitudes, chi)).reshape(qd, cd)
+        rho += w * (m @ m.conj().T)
+    return rho
+
+
+def loop_top_level_population(propagator, cavity_state, probes):
+    space = propagator.space
+    qd, cd = space.qubit_dim, space.cavity_dim
+    weights, vecs = np.linalg.eigh(cavity_state.entries)
+    keep = weights > 1e-14
+    worst = 0.0
+    for psi in probes:
+        pop = 0.0
+        for w, chi in zip(weights[keep], vecs[:, keep].T):
+            out = propagator.entries @ np.kron(psi.amplitudes, chi)
+            pop += w * float(np.sum(np.abs(out.reshape(qd, cd)[:, -1]) ** 2))
+        worst = max(worst, pop)
+    return worst
+
+
+class TestBatchedReductions:
+    """The batched cavity reductions equal the per-probe loops."""
+
+    @pytest.mark.parametrize("label", ["vacuum", "fock:1", "coherent:0.7", "thermal:0.3"])
+    def test_channel_and_top_population_match_the_loop(self, label):
+        space = make_space(3, 6)
+        rng = np.random.default_rng(17)
+        m = rng.normal(size=(space.dim,) * 2) + 1j * rng.normal(size=(space.dim,) * 2)
+        u = OperatorMatrix(space, np.linalg.qr(m)[0])
+        state, _ = make_cavity_state(label, 6)
+        random_probe = StateVector.normalized(
+            qubit_space(3), rng.normal(size=8) + 1j * rng.normal(size=8)
+        )
+        probes = [*x_basis_product_states(3), *z_basis_product_states(3), random_probe]
+        channel = schedule_channel(u, state)
+        for psi in probes:
+            rho = channel(psi).entries
+            assert np.max(np.abs(rho - loop_channel(u, state, psi))) < 1e-14
+        for subset in (probes, probes[:8], probes[-1:]):
+            assert top_level_population(u, state, subset) == pytest.approx(
+                loop_top_level_population(u, state, subset), abs=1e-14
+            )
+        assert top_level_population(u, state) == pytest.approx(
+            loop_top_level_population(u, state, probes[:8]), abs=1e-14
+        )
+
+    def test_step_hamiltonian_terms_match_dense_products(self):
+        # H(t) = sum_driven (rabi/2)(e^{i phi} sigma-_j + h.c.)
+        #      + sum_coupled g_j (e^{i delta_j t} a sigma+_j + h.c.)
+        space = make_space(3, 4)
+        a, _ = cavity_ops(space)
+        sched = schedule_method_b(solve_parameters(1.0, 0, 12.0, 2), 50.0)
+        for step in sched.steps:
+            h = step_hamiltonian(space, step)
+            for t in (0.0, 0.37):
+                expected = np.zeros((space.dim, space.dim), dtype=complex)
+                for j, q in enumerate(step.qubits, start=1):
+                    sm = embed_qubit_op(space, j, SIGMA_MINUS).entries
+                    sp = embed_qubit_op(space, j, SIGMA_PLUS).entries
+                    if q.drive_rabi > 0:
+                        expected += 0.5 * q.drive_rabi * (
+                            np.exp(1j * q.drive_phase) * sm
+                            + np.exp(-1j * q.drive_phase) * sp
+                        )
+                    if q.coupled:
+                        term = q.coupling * np.exp(1j * q.detuning * t) * (a.entries @ sp)
+                        expected += term + term.conj().T
+                assert np.max(np.abs(h(t) - expected)) < 1e-13
+
+
+class TestConfigLimits:
+    """Configs that cannot be allocated, or hold non-finite or negative
+    numbers, fail at construction with ``ConfigError``."""
+
+    def test_oversized_space_rejected_before_allocation(self):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(n=40)
+        assert err.value.field_name == "n"
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(n=1, fock_cutoff=MAX_SPACE_DIM)
+        assert err.value.field_name == "fock_cutoff"
+        # the largest allowed space at n = 5 is 64 x 64 cavity levels
+        ExperimentConfig(n=5, fock_cutoff=MAX_SPACE_DIM // 64 - 1)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(n=5, fock_cutoff=MAX_SPACE_DIM // 64)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("g_hz", float("nan")),
+            ("omega_ratio", float("inf")),
+            ("tol", 0.0),
+            ("tol", -1e-6),
+            ("fock_cutoff", 0),
+            ("n", 0),
+            ("t1_s", float("-inf")),
+            ("q_factor", -1e5),
+            ("decouple_factor", 0.0),
+            ("tau_a_s", -1e-6),
+            ("rabi_deviation_fraction", float("nan")),
+            ("k", float("nan")),
+        ],
+    )
+    def test_bad_numbers_rejected(self, field, value):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**{field: value})
+        assert err.value.field_name == field
+
+    def test_json_nan_rejected(self):
+        import json
+
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(json.loads('{"omega_ratio": NaN}'))
+
+    def test_sweep_checks_every_point_before_running_any(self, monkeypatch):
+        import cavityphase.analysis as analysis
+
+        calls = []
+        monkeypatch.setattr(analysis, "run_experiment", lambda c: calls.append(c))
+        config = ExperimentConfig.from_dict(
+            {"fock_cutoff": 2, "sweep": [{"parameter": "n", "values": [1, 40]}]}
+        )
+        with pytest.raises(ConfigError):
+            run_sweep(config)
+        assert calls == []

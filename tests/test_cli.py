@@ -258,3 +258,45 @@ def test_import_leaves_multiprocessing_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_repeated_in_process_calls_match_separate_processes(tmp_path, capsys):
+    # the parser is built once per process; reusing it must not carry
+    # state from one call to the next
+    config = write_config(tmp_path)
+    commands = [
+        ["simulate", "--bogus"],
+        ["solve", "--config", str(config), "--out", "{out}"],
+        ["simulate", "--config", str(config), "--out", "{out}"],
+    ]
+    src = str(Path(cavityphase.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def outputs(out_dir):
+        return {p.name: p.read_bytes() for p in sorted(out_dir.glob("*.json"))}
+
+    separate_dir = tmp_path / "separate"
+    separate_codes = [
+        subprocess.run(
+            [sys.executable, "-m", "cavityphase.cli"]
+            + [arg.format(out=separate_dir) for arg in command],
+            env=env,
+            capture_output=True,
+        ).returncode
+        for command in commands
+    ]
+    assert separate_codes == [1, 0, 0]
+    assert set(outputs(separate_dir)) == {"params.json", "report.json"}
+    for round_index in range(2):
+        out_dir = tmp_path / f"in-process-{round_index}"
+        codes = [cli.main([arg.format(out=out_dir) for arg in command]) for command in commands]
+        assert codes == separate_codes
+        assert outputs(out_dir) == outputs(separate_dir)
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_oversized_config_exits_one(tmp_path, capsys):
+    config = write_config(tmp_path, n=40)
+    code = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 1
+    assert "fock_cutoff" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from cavityphase.effective import (
     ab_coefficients,
@@ -28,6 +29,7 @@ from cavityphase.hilbert import (
     make_space,
     qubit_space,
     unitarity_defect,
+    x_basis_transform,
 )
 from cavityphase.protocol import ParamSet, solve_parameters
 
@@ -432,3 +434,133 @@ class TestUnitarity:
         ]
         for gate in gates:
             assert unitarity_defect(gate.matrix) < 1e-10
+
+
+def random_params(rng, n: int, hard_ok: bool) -> ParamSet:
+    """A parameter set with random frequencies.  With ``hard_ok`` it is
+    the solved set at a random drive strength; otherwise every frequency
+    is drawn independently, so the hard conditions (and sometimes the
+    detuning signs) fail."""
+    if hard_ok:
+        return solve_parameters(
+            rng.uniform(0.5, 2.0), int(rng.integers(0, 3)), rng.uniform(8.0, 40.0), n
+        )
+    return ParamSet(
+        g=rng.uniform(0.5, 2.0),
+        g_prime=rng.uniform(0.5, 2.0),
+        delta=rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0),
+        delta_prime=rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0),
+        omega=rng.uniform(5.0, 40.0),
+        omega_prime=rng.uniform(5.0, 40.0),
+        omega1=rng.uniform(5.0, 40.0),
+        omega_r=rng.uniform(0.5, 5.0),
+        k=0,
+        n=n,
+    )
+
+
+def dense_sx_gate(nq: int, included, linear: float, quadratic: float) -> np.ndarray:
+    """exp(i (linear S_x + quadratic S_x^2)) by expm of the dense collective
+    operator."""
+    from cavityphase.hamiltonians import collective_ops
+
+    _, _, _, s_x = collective_ops(qubit_space(nq), included)
+    sx = s_x.entries
+    return expm(1j * (linear * sx + quadratic * sx @ sx))
+
+
+def dense_step3(nq: int, omega1: float, omega_r: float, tau: float) -> np.ndarray:
+    from cavityphase.hamiltonians import h_step3
+
+    return expm(-1j * tau * h_step3(qubit_space(nq), omega1, omega_r).entries)
+
+
+def dense_literal_product(p: ParamSet) -> np.ndarray:
+    nq = p.n + 1
+    u1 = dense_sx_gate(nq, range(1, nq + 1), 0.5 * p.omega * p.tau, p.lam * p.tau)
+    u2 = dense_sx_gate(
+        nq,
+        range(2, nq + 1),
+        -0.5 * p.omega_prime * p.tau_prime,
+        -p.lam_prime * p.tau_prime,
+    )
+    return dense_step3(nq, p.omega1, p.omega_r, p.tau) @ u2 @ u1
+
+
+class TestDiagonalClosedFormsAgainstDenseRoute:
+    """Every closed form is built from its sigma-x-basis phase vector;
+    the dense route exponentiates the collective operators directly."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_step_gates(self, n):
+        rng = np.random.default_rng(100 + n)
+        nq = n + 1
+        space = qubit_space(nq)
+        for _ in range(3):
+            g, omega = rng.uniform(0.5, 2.0), rng.uniform(5.0, 40.0)
+            delta = -rng.uniform(0.5, 3.0)
+            tau, lam = TWO_PI / abs(delta), -(g**2) / (4 * delta)
+            expected = dense_sx_gate(nq, range(1, nq + 1), 0.5 * omega * tau, lam * tau)
+            got = effective_step1(space, g, delta, omega).matrix.entries
+            assert np.max(np.abs(got - expected)) < 1e-12
+
+            delta_p = rng.uniform(0.5, 3.0)
+            tau_p, lam_p = TWO_PI / delta_p, g**2 / (4 * delta_p)
+            expected = dense_sx_gate(
+                nq, range(2, nq + 1), -0.5 * omega * tau_p, -lam_p * tau_p
+            )
+            got = effective_step2(space, g, delta_p, omega).matrix.entries
+            assert np.max(np.abs(got - expected)) < 1e-12
+
+            omega1, omega_r = rng.uniform(5.0, 40.0), rng.uniform(0.5, 5.0)
+            expected = dense_step3(nq, omega1, omega_r, tau)
+            got = effective_step3(space, omega1, omega_r, tau).matrix.entries
+            assert np.max(np.abs(got - expected)) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("hard_ok", [True, False])
+    def test_three_step_composition(self, n, hard_ok):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(3):
+            p = random_params(rng, n, hard_ok)
+            got = three_step_composition(qubit_space(n + 1), p).matrix.entries
+            assert np.max(np.abs(got - dense_literal_product(p))) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_combined_evolution_when_conditions_hold(self, n):
+        rng = np.random.default_rng(300 + n)
+        space = qubit_space(n + 1)
+        for _ in range(3):
+            p = random_params(rng, n, hard_ok=True)
+            assert not p.violated_tags
+            h = effective_hamiltonian(space, n, p.lam).entries
+            got = combined_evolution(space, p)
+            assert np.max(np.abs(got.matrix.entries - expm(-1j * p.tau * h))) < 1e-12
+            # the recorded global phase links it to the literal product
+            literal = dense_literal_product(p)
+            assert np.max(np.abs(got.matrix.entries * got.global_phase - literal)) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_combined_evolution_when_conditions_fail(self, n):
+        rng = np.random.default_rng(400 + n)
+        for _ in range(3):
+            p = random_params(rng, n, hard_ok=False)
+            assert p.violated_tags
+            got = combined_evolution(qubit_space(n + 1), p)
+            assert got.warnings
+            assert np.max(np.abs(got.matrix.entries - dense_literal_product(p))) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_ideal_ntcp_is_exact(self, n):
+        nq = n + 1
+        diag = np.ones(2**nq)
+        for idx in range(2**nq):
+            bits = [(idx >> (nq - 1 - pos)) & 1 for pos in range(nq)]
+            if bits[0] == 1 and sum(bits[1:]) % 2 == 1:
+                diag[idx] = -1.0
+        w = x_basis_transform(nq)
+        got = ideal_ntcp(n).matrix.entries
+        assert np.max(np.abs(got - (w * diag) @ w)) < 1e-15
+        # integer multiples of 2^-nq, with no round-off
+        scaled = got * 2**nq
+        assert np.array_equal(scaled, np.round(scaled.real))

@@ -12,6 +12,7 @@ from cavityphase.hilbert import (
     DensityMatrix,
     OperatorMatrix,
     StateVector,
+    basis_bits,
     cavity_ops,
     channel_fidelity,
     embed_qubit_op,
@@ -23,6 +24,7 @@ from cavityphase.hilbert import (
     qubit_basis_state,
     fock_state,
     qubit_space,
+    sign_matrix,
     x_basis_product_states,
     x_basis_transform,
 )
@@ -286,3 +288,70 @@ class TestBasics:
     def test_density_matrix_validation(self):
         with pytest.raises(ValueError):
             DensityMatrix(qubit_space(1), np.eye(2, dtype=complex))  # trace 2
+
+
+def kron_embed(space, qubit_index, local):
+    """Reference embedding by a kron chain, one factor per qubit."""
+    out = np.array([[1.0 + 0j]])
+    for j in range(1, space.num_qubits + 1):
+        out = np.kron(out, local if j == qubit_index else np.eye(2))
+    if space.has_cavity:
+        out = np.kron(out, np.eye(space.cavity_dim))
+    return out
+
+
+class TestTensorShapeBuilds:
+    """The embeddings write their nonzeros into the tensor shape; they
+    must equal the kron chains exactly."""
+
+    @pytest.mark.parametrize("nq, cutoff", [(1, None), (3, None), (1, 4), (2, 1), (3, 5)])
+    def test_embed_matches_kron_exactly(self, nq, cutoff):
+        space = qubit_space(nq) if cutoff is None else make_space(nq, cutoff)
+        rng = np.random.default_rng(nq * 10 + (cutoff or 0))
+        locals_ = [SIGMA_X, SIGMA_Z, HADAMARD]
+        locals_.append(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        for local in locals_:
+            for j in range(1, nq + 1):
+                got = embed_qubit_op(space, j, local).entries
+                assert np.array_equal(got, kron_embed(space, j, local))
+
+    @pytest.mark.parametrize("nq, cutoff", [(1, 1), (2, 5), (3, 3)])
+    def test_cavity_ops_match_kron_exactly(self, nq, cutoff):
+        space = make_space(nq, cutoff)
+        a_local = np.diag(np.sqrt(np.arange(1, cutoff + 1)), k=1).astype(complex)
+        a_ref = np.kron(np.eye(2**nq), a_local)
+        a, a_dag = cavity_ops(space)
+        assert np.array_equal(a.entries, a_ref)
+        assert np.array_equal(a_dag.entries, a_ref.conj().T)
+
+    @pytest.mark.parametrize("nq", range(1, 7))
+    def test_x_basis_transform_is_the_hadamard_chain(self, nq):
+        chain = np.array([[1.0 + 0j]])
+        for _ in range(nq):
+            chain = np.kron(chain, HADAMARD)
+        w = x_basis_transform(nq)
+        assert np.max(np.abs(w - chain)) < 1e-15
+        assert np.max(np.abs(w @ w - np.eye(2**nq))) < 1e-15
+
+    @pytest.mark.parametrize("nq", range(0, 6))
+    def test_sign_matrix_is_popcount_parity(self, nq):
+        idx = np.arange(2**nq)
+        parity = np.array(
+            [[bin(int(i) & int(k)).count("1") % 2 for k in idx] for i in idx]
+        ).reshape(2**nq, 2**nq)
+        assert np.array_equal(sign_matrix(nq), 1.0 - 2.0 * parity)
+
+    def test_basis_bits_put_qubit_one_first(self):
+        assert basis_bits(3, 1).tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+        assert basis_bits(3, 3).tolist() == [0, 1, 0, 1, 0, 1, 0, 1]
+        with pytest.raises(ValueError):
+            basis_bits(3, 4)
+
+    def test_gate_fidelity_matches_trace_formula(self):
+        rng = np.random.default_rng(5)
+        space = qubit_space(3)
+        for _ in range(5):
+            u, v = random_unitary(8, rng), random_unitary(8, rng)
+            expected = abs(np.trace(v.conj().T @ u)) / 8
+            got = gate_fidelity(OperatorMatrix(space, u), OperatorMatrix(space, v))
+            assert got == pytest.approx(expected, abs=1e-14)
