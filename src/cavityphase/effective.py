@@ -10,6 +10,7 @@ ideal gates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -149,8 +150,17 @@ def _x_diagonal_gate(num_qubits: int, diag: np.ndarray) -> np.ndarray:
     ``(i, k)`` is ``(S @ diag)[i ^ k] / 2**num_qubits``: one matrix-vector
     product instead of a matrix product."""
     column = sign_matrix(num_qubits) @ diag / 2**num_qubits
+    return column[_xor_index(num_qubits)]
+
+
+@functools.cache
+def _xor_index(num_qubits: int) -> np.ndarray:
+    """Read-only gather index ``i ^ k`` of every entry ``(i, k)``, cached
+    per qubit count."""
     index = np.arange(2**num_qubits)
-    return column[index[:, None] ^ index[None, :]]
+    xor = index[:, None] ^ index[None, :]
+    xor.setflags(write=False)
+    return xor
 
 
 def _sx_phases(

@@ -10,6 +10,7 @@ eigenvalue +1.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -372,19 +373,25 @@ def channel_fidelity(
     return total / len(probe_set)
 
 
+@functools.cache
 def basis_bits(num_qubits: int, qubit_index: int) -> np.ndarray:
     """Bit of qubit ``qubit_index`` (1-based, qubit 1 most significant) in
-    every basis index ``0 .. 2**num_qubits - 1`` of the qubit factors."""
+    every basis index ``0 .. 2**num_qubits - 1`` of the qubit factors.
+    Cached per argument pair; the array is read-only."""
     if not 1 <= qubit_index <= num_qubits:
         raise ValueError(f"qubit_index {qubit_index} out of range 1..{num_qubits}")
-    return (np.arange(2**num_qubits) >> (num_qubits - qubit_index)) & 1
+    bits = (np.arange(2**num_qubits) >> (num_qubits - qubit_index)) & 1
+    bits.setflags(write=False)
+    return bits
 
 
+@functools.cache
 def sign_matrix(num_qubits: int) -> np.ndarray:
     """Sylvester-Hadamard sign matrix ``S[i, k] = (-1)^popcount(i & k)``
     with exact +-1 entries, built by doubling.  ``S / 2**(num_qubits/2)``
     is the Hadamard on every qubit and ``S @ S = 2**num_qubits I``, so a
-    gate with sigma-x-basis phases ``d`` is ``(S * d) @ S / 2**num_qubits``."""
+    gate with sigma-x-basis phases ``d`` is ``(S * d) @ S / 2**num_qubits``.
+    Cached per qubit count; the array is read-only."""
     dim = 2**num_qubits
     out = np.empty((dim, dim))
     out[0, 0] = 1.0
@@ -395,6 +402,7 @@ def sign_matrix(num_qubits: int) -> np.ndarray:
         out[size : 2 * size, :size] = block
         np.negative(block, out=out[size : 2 * size, size : 2 * size])
         size *= 2
+    out.setflags(write=False)
     return out
 
 

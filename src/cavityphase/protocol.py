@@ -378,7 +378,12 @@ class Schedule:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        """The :meth:`to_json_dict` shape as compact one-line JSON.
+
+        No ``indent``: any indent sends ``json`` through its pure-Python
+        encoder, several times slower than the C one.  :meth:`loads` reads
+        any whitespace, and ``python -m json.tool`` pretty-prints the text."""
+        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> Schedule:
@@ -526,34 +531,37 @@ def _three_steps(
     return step1, step2, step3
 
 
-def _qubit_freq_annotations(
-    params: ParamSet, cavity_freqs: tuple[float, float, float], decouple_factor: float | None
-) -> tuple[tuple[dict, dict, dict], tuple[tuple[float | None, ...], ...]]:
-    """Per-step qubit transition frequencies and resulting drive frequencies
-    once a cavity frequency is pinned.  Decoupled qubits are annotated at the
-    large detuning ``factor * g`` even when the dynamics treat them as
+def _retuned_qubit_freqs(
+    params: ParamSet, cavity_freq: float, decouple_factor: float | None
+) -> tuple[tuple[float, ...], ...]:
+    """Per-step qubit transition frequencies when the cavity stays at
+    ``cavity_freq`` and the qubits retune: every qubit at
+    ``cavity_freq + delta`` in step one; in step two the control parked at
+    ``cavity_freq + factor * g`` and the targets at
+    ``cavity_freq + delta_prime``; every qubit parked in step three.
+    Decoupled qubits are parked even when the dynamics treat them as
     ideally decoupled; that is the frequency a real device would park at."""
     nq = params.n + 1
     factor = DEFAULT_DECOUPLE_FACTOR if decouple_factor is None else decouple_factor
-    big = factor * params.g
-    anns = []
-    freqs = []
-    detunings = (
-        (params.delta,) * nq,
-        (big,) + (params.delta_prime,) * (nq - 1),
-        (big,) * nq,
+    parked = cavity_freq + factor * params.g
+    return (
+        (cavity_freq + params.delta,) * nq,
+        (parked,) + (cavity_freq + params.delta_prime,) * (nq - 1),
+        (parked,) * nq,
     )
-    for step_idx in range(3):
-        wc = cavity_freqs[step_idx]
-        ann = {"cavity_freq_hz": wc / TWO_PI}
-        row = []
-        for j in range(nq):
-            w0 = wc + detunings[step_idx][j]
-            ann[f"qubit_freq_hz_q{j + 1}"] = w0 / TWO_PI
-            row.append(w0)
-        anns.append(ann)
-        freqs.append(tuple(row))
-    return tuple(anns), tuple(freqs)
+
+
+def _frequency_annotations(
+    cavity_freqs: tuple[float, float, float], qubit_freqs: tuple[tuple[float, ...], ...]
+) -> tuple[dict, dict, dict]:
+    """Per-step annotations ``cavity_freq_hz`` and ``qubit_freq_hz_q{j}``
+    from the step's cavity and qubit transition frequencies (rad/s).  The
+    qubit frequencies are also the steps' drive frequencies."""
+    return tuple(
+        {"cavity_freq_hz": wc / TWO_PI}
+        | {f"qubit_freq_hz_q{j}": w0 / TWO_PI for j, w0 in enumerate(row, start=1)}
+        for wc, row in zip(cavity_freqs, qubit_freqs)
+    )
 
 
 def schedule_method_a(
@@ -569,12 +577,10 @@ def schedule_method_a(
     detuning ``factor * g``.
     """
     _require_consistent(params)
-    annotations = None
-    drive_freqs = None
+    annotations = drive_freqs = None
     if cavity_freq is not None:
-        annotations, drive_freqs = _qubit_freq_annotations(
-            params, (cavity_freq,) * 3, decouple_factor
-        )
+        drive_freqs = _retuned_qubit_freqs(params, cavity_freq, decouple_factor)
+        annotations = _frequency_annotations((cavity_freq,) * 3, drive_freqs)
     steps = _three_steps(params, "method-a", decouple_factor, annotations, drive_freqs)
     return Schedule(
         realization="method-a",
@@ -599,29 +605,19 @@ def schedule_method_b(
     is parked in step two and restored in step three.
     """
     _require_consistent(params)
-    annotations = None
-    drive_freqs = None
+    annotations = drive_freqs = None
     if cavity_freq is not None:
         factor = DEFAULT_DECOUPLE_FACTOR if decouple_factor is None else decouple_factor
         big = factor * params.g
         w_target = cavity_freq + params.delta
         cavity_freqs = (cavity_freq, w_target - params.delta_prime, w_target - big)
-        nq = params.n + 1
-        anns = []
-        freqs = []
-        for step_idx, wc in enumerate(cavity_freqs):
-            ann = {"cavity_freq_hz": wc / TWO_PI}
-            row = []
-            for j in range(nq):
-                if j == 0:
-                    w0 = wc + big if step_idx == 1 else w_target
-                else:
-                    w0 = w_target
-                ann[f"qubit_freq_hz_q{j + 1}"] = w0 / TWO_PI
-                row.append(w0)
-            anns.append(ann)
-            freqs.append(tuple(row))
-        annotations, drive_freqs = tuple(anns), tuple(freqs)
+        targets = (w_target,) * params.n
+        drive_freqs = (
+            (w_target,) + targets,
+            (cavity_freqs[1] + big,) + targets,
+            (w_target,) + targets,
+        )
+        annotations = _frequency_annotations(cavity_freqs, drive_freqs)
     steps = _three_steps(params, "method-b", decouple_factor, annotations, drive_freqs)
     return Schedule(
         realization="method-b",
@@ -673,8 +669,6 @@ def schedule_charge(
             tags=("circuit-g-mismatch",),
         )
 
-    factor = DEFAULT_DECOUPLE_FACTOR if decouple_factor is None else decouple_factor
-    big = factor * params.g
     nq = params.n + 1
 
     def volts(rabi: float) -> float:
@@ -696,28 +690,14 @@ def schedule_charge(
         (0.0,) + (params.omega_prime,) * (nq - 1),
         (params.omega1,) + (params.omega_r,) * (nq - 1),
     )
-    detunings = (
-        (params.delta,) * nq,
-        (big,) + (params.delta_prime,) * (nq - 1),
-        (big,) * nq,
-    )
-    annotations = []
-    drive_freqs = []
-    for step_idx in range(3):
-        ann = {"cavity_freq_hz": cavity_freq / TWO_PI}
-        row = []
-        for j in range(nq):
-            w0 = cavity_freq + detunings[step_idx][j]
-            ann[f"qubit_freq_hz_q{j + 1}"] = w0 / TWO_PI
-            ann[f"flux_ratio_q{j + 1}"] = flux(w0)
-            ann[f"v0_volts_q{j + 1}"] = volts(rabis[step_idx][j])
-            row.append(w0)
-        annotations.append(ann)
-        drive_freqs.append(tuple(row))
+    drive_freqs = _retuned_qubit_freqs(params, cavity_freq, decouple_factor)
+    annotations = _frequency_annotations((cavity_freq,) * 3, drive_freqs)
+    for ann, freq_row, rabi_row in zip(annotations, drive_freqs, rabis):
+        for j, (w0, rabi) in enumerate(zip(freq_row, rabi_row), start=1):
+            ann[f"flux_ratio_q{j}"] = flux(w0)
+            ann[f"v0_volts_q{j}"] = volts(rabi)
 
-    steps = _three_steps(
-        params, "charge", decouple_factor, tuple(annotations), tuple(drive_freqs)
-    )
+    steps = _three_steps(params, "charge", decouple_factor, annotations, drive_freqs)
     return Schedule(
         realization="charge",
         num_qubits=nq,

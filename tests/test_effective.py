@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 from cavityphase.effective import (
+    _xor_index,
     ab_coefficients,
     combined_evolution,
     effective_hamiltonian,
@@ -564,3 +565,13 @@ class TestDiagonalClosedFormsAgainstDenseRoute:
         # integer multiples of 2^-nq, with no round-off
         scaled = got * 2**nq
         assert np.array_equal(scaled, np.round(scaled.real))
+
+    @pytest.mark.parametrize("nq", range(1, 6))
+    def test_xor_index_is_cached_and_read_only(self, nq):
+        index = _xor_index(nq)
+        assert _xor_index(nq) is index
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0, 0] = 1
+        dim = 2**nq
+        assert index.tolist() == [[i ^ k for k in range(dim)] for i in range(dim)]

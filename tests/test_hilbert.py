@@ -339,7 +339,12 @@ class TestTensorShapeBuilds:
         parity = np.array(
             [[bin(int(i) & int(k)).count("1") % 2 for k in idx] for i in idx]
         ).reshape(2**nq, 2**nq)
-        assert np.array_equal(sign_matrix(nq), 1.0 - 2.0 * parity)
+        s = sign_matrix(nq)
+        assert np.array_equal(s, 1.0 - 2.0 * parity)
+        # cached per qubit count and shared, so read-only
+        assert sign_matrix(nq) is s and not s.flags.writeable
+        with pytest.raises(ValueError):
+            s[0, 0] = -1.0
 
     def test_basis_bits_put_qubit_one_first(self):
         assert basis_bits(3, 1).tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
@@ -355,3 +360,26 @@ class TestTensorShapeBuilds:
             expected = abs(np.trace(v.conj().T @ u)) / 8
             got = gate_fidelity(OperatorMatrix(space, u), OperatorMatrix(space, v))
             assert got == pytest.approx(expected, abs=1e-14)
+
+
+class TestCachedTables:
+    """Tables shared by every caller through a per-argument cache must be
+    read-only; ``sign_matrix`` is checked in ``TestTensorShapeBuilds``."""
+
+    @pytest.mark.parametrize("nq", range(1, 6))
+    def test_basis_bits_are_cached_and_read_only(self, nq):
+        for j in range(1, nq + 1):
+            bits = basis_bits(nq, j)
+            assert basis_bits(nq, j) is bits
+            assert not bits.flags.writeable
+            with pytest.raises(ValueError):
+                bits[0] = 1
+            # the bit of qubit j is the popcount parity of i & (its mask)
+            mask = 1 << (nq - j)
+            assert bits.tolist() == [bin(i & mask).count("1") % 2 for i in range(2**nq)]
+
+    def test_x_basis_transform_returns_a_fresh_array(self):
+        w = x_basis_transform(3)
+        assert w.flags.writeable and x_basis_transform(3) is not w
+        w[0, 0] = 7.0
+        assert x_basis_transform(3)[0, 0] == pytest.approx(2.0**-1.5)

@@ -6,13 +6,19 @@ import math
 import numpy as np
 import pytest
 from conftest import reference_circuit
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.constants import e as E_CHARGE
+from scipy.constants import hbar as HBAR
 
 from cavityphase.analysis import effective_gates_from_schedule
 from cavityphase.effective import ideal_ntcp
 from cavityphase.errors import InconsistentParametersError, InfeasibleHardwareError
+from cavityphase.hamiltonians import flux_for_qubit_freq
 from cavityphase.hilbert import OperatorMatrix, gate_fidelity, qubit_space
 from cavityphase.protocol import (
     CHARGE_LIFETIME_NOTE,
+    DEFAULT_DECOUPLE_FACTOR,
     ParamSet,
     Schedule,
     schedule_atoms,
@@ -191,6 +197,37 @@ class TestSchedules:
             assert abs(f - 1.0) < 1e-10
 
 
+REALIZATIONS = ("method-a", "method-b", "charge", "atomic")
+
+#: The documented interchange keys, in their serialized order.
+TOP_KEYS = ["format", "realization", "num_qubits", "steps", "extra_times_s", "warnings"]
+STEP_KEYS = ["label", "duration_s", "qubits", "annotations"]
+QUBIT_KEYS = ["index", "drive", "coupled", "detuning_hz", "coupling_hz"]
+DRIVE_KEYS = ["rabi_hz", "phase_rad", "freq_hz"]
+
+
+def build_schedule(realization, n, k, omega_ratio, cavity_freq_hz, decouple_factor):
+    """A schedule of any realization; the charge circuit is solved for its
+    cavity frequency and fixes g/2pi = 22 MHz."""
+    wc = TWO_PI * cavity_freq_hz
+    if realization == "charge":
+        params = solve_parameters(TWO_PI * 22e6, k, omega_ratio, n)
+        circuit = reference_circuit(cavity_freq_hz=cavity_freq_hz)
+        return schedule_charge(params, circuit, wc, decouple_factor)
+    params = solve_parameters(TWO_PI * 10e6, k, omega_ratio, n)
+    if realization == "method-a":
+        return schedule_method_a(params, decouple_factor, wc)
+    if realization == "method-b":
+        return schedule_method_b(params, decouple_factor, wc)
+    return schedule_atoms(params, tau_a=1e-6, tau_m=2e-6)
+
+
+def same_within(a, b, rel=1e-15):
+    if a is None or b is None:
+        return a is b
+    return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
 class TestScheduleSerialization:
     def test_round_trip(self):
         p = solve_parameters(TWO_PI * 22e6, 0, 15, 2)
@@ -222,6 +259,143 @@ class TestScheduleSerialization:
     def test_serialization_deterministic(self):
         p = solve_parameters(1.0, 0, 15, 1)
         assert schedule_method_a(p).dumps() == schedule_method_a(p).dumps()
+
+    @pytest.mark.parametrize("realization", REALIZATIONS)
+    def test_dumps_is_one_compact_line(self, realization):
+        s = build_schedule(realization, 3, 1, 15.0, 8e9, 50.0)
+        text = s.dumps()
+        assert "\n" not in text
+        assert json.loads(text) == json.loads(json.dumps(s.to_json_dict(), indent=2))
+
+    @pytest.mark.parametrize("realization", REALIZATIONS)
+    def test_loads_reads_indented_text(self, realization):
+        s = build_schedule(realization, 2, 0, 20.0, 6e9, None)
+        indented = json.dumps(s.to_json_dict(), indent=2)
+        assert Schedule.loads(indented).dumps() == s.dumps()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    realization=st.sampled_from(REALIZATIONS),
+    n=st.integers(1, 5),
+    k=st.integers(0, 2),
+    omega_ratio=st.floats(8.0, 60.0),
+    cavity_freq_hz=st.floats(4e9, 12e9),
+    decouple_factor=st.one_of(st.none(), st.floats(10.0, 80.0)),
+)
+def test_schedule_round_trip_property(
+    realization, n, k, omega_ratio, cavity_freq_hz, decouple_factor
+):
+    s = build_schedule(realization, n, k, omega_ratio, cavity_freq_hz, decouple_factor)
+    text = s.dumps()
+    restored = Schedule.loads(text)
+    assert restored.dumps() == text  # the text is a fixed point
+
+    # one trip keeps every field; Hz <-> rad/s costs at most a few ulp
+    assert (restored.realization, restored.num_qubits) == (s.realization, s.num_qubits)
+    assert restored.warnings == s.warnings
+    assert dict(restored.extra_times) == dict(s.extra_times)
+    for step_a, step_b in zip(s.steps, restored.steps, strict=True):
+        assert step_b.label == step_a.label
+        assert step_b.realization == step_a.realization
+        assert step_b.duration == step_a.duration
+        assert dict(step_b.annotations) == dict(step_a.annotations)
+        for qa, qb in zip(step_a.qubits, step_b.qubits, strict=True):
+            assert qb.coupled == qa.coupled
+            assert qb.drive_phase == qa.drive_phase
+            for name in ("drive_rabi", "detuning", "coupling", "drive_freq"):
+                assert same_within(getattr(qa, name), getattr(qb, name)), name
+
+    data = json.loads(text)
+    assert list(data) == TOP_KEYS
+    assert data["format"] == "cavityphase-schedule-v1"
+    for step in data["steps"]:
+        assert list(step) == STEP_KEYS
+        for qubit in step["qubits"]:
+            assert list(qubit) == QUBIT_KEYS
+            assert list(qubit["drive"]) == DRIVE_KEYS
+
+
+class TestFrequencyAnnotations:
+    """Annotations and drive frequencies against the schedules' docstring
+    formulas, exactly: the same float operations in the same order."""
+
+    P = solve_parameters(TWO_PI * 22e6, 0, 15, 2)
+    WC = TWO_PI * 10e9
+
+    def expected(self, cavity, qubits):
+        return [
+            {"cavity_freq_hz": wc / TWO_PI}
+            | {f"qubit_freq_hz_q{j}": w / TWO_PI for j, w in enumerate(row, start=1)}
+            for wc, row in zip(cavity, qubits)
+        ]
+
+    def retuned(self, factor):
+        # method-a and charge: the cavity stays put, the qubits move
+        p, wc = self.P, self.WC
+        parked = wc + factor * p.g
+        qubits = (
+            (wc + p.delta,) * 3,
+            (parked, wc + p.delta_prime, wc + p.delta_prime),
+            (parked,) * 3,
+        )
+        return (wc,) * 3, qubits
+
+    def check(self, schedule, cavity, qubits, extra=None):
+        data = schedule.to_json_dict()
+        expected = self.expected(cavity, qubits)
+        for i, (step, row) in enumerate(zip(data["steps"], qubits)):
+            ann = dict(expected[i], **(extra[i] if extra else {}))
+            assert step["annotations"] == dict(sorted(ann.items()))
+            assert [q["drive"]["freq_hz"] for q in step["qubits"]] == [
+                w / TWO_PI for w in row
+            ]
+
+    @pytest.mark.parametrize("decouple_factor", [None, 37.5])
+    def test_method_a(self, decouple_factor):
+        factor = DEFAULT_DECOUPLE_FACTOR if decouple_factor is None else decouple_factor
+        s = schedule_method_a(self.P, decouple_factor, self.WC)
+        self.check(s, *self.retuned(factor))
+
+    @pytest.mark.parametrize("decouple_factor", [None, 37.5])
+    def test_method_b(self, decouple_factor):
+        p = self.P
+        big = (DEFAULT_DECOUPLE_FACTOR if decouple_factor is None else decouple_factor) * p.g
+        w_target = self.WC + p.delta
+        cavity = (self.WC, w_target - p.delta_prime, w_target - big)
+        qubits = (
+            (w_target,) * 3,
+            (cavity[1] + big, w_target, w_target),
+            (w_target,) * 3,
+        )
+        self.check(schedule_method_b(p, decouple_factor, self.WC), cavity, qubits)
+
+    @pytest.mark.parametrize("decouple_factor", [None, 37.5])
+    def test_charge(self, decouple_factor):
+        p, circuit = self.P, reference_circuit()
+        factor = DEFAULT_DECOUPLE_FACTOR if decouple_factor is None else decouple_factor
+        cavity, qubits = self.retuned(factor)
+        rabis = (
+            (p.omega,) * 3,
+            (0.0, p.omega_prime, p.omega_prime),
+            (p.omega1, p.omega_r, p.omega_r),
+        )
+        extra = [
+            {f"flux_ratio_q{j}": flux_for_qubit_freq(circuit, w) for j, w in enumerate(row, 1)}
+            | {
+                f"v0_volts_q{j}": r * HBAR * E_CHARGE / (2.0 * circuit.e_c * circuit.c_g)
+                for j, r in enumerate(rabi_row, 1)
+            }
+            for row, rabi_row in zip(qubits, rabis)
+        ]
+        s = schedule_charge(p, circuit, self.WC, decouple_factor)
+        self.check(s, cavity, qubits, extra)
+
+    @pytest.mark.parametrize("build", [schedule_method_a, schedule_method_b])
+    def test_no_cavity_frequency_no_annotations(self, build):
+        for step in build(self.P, 37.5).to_json_dict()["steps"]:
+            assert step["annotations"] == {}
+            assert all(q["drive"]["freq_hz"] is None for q in step["qubits"])
 
 
 class TestChargeSchedule:
