@@ -1,8 +1,15 @@
 """One-off run that produces the derived regression numbers frozen into
 the acceptance suite: the strong-drive convergence fidelities, the
-cavity-state spread, and the factorization-oracle residuals."""
+cavity-state spread, and the factorization-oracle residuals.
 
+Run from the repository root with the package importable, e.g.
+``PYTHONPATH=src python scripts/freeze_regressions.py``.  The strong-drive
+builder is the test suite's own ``rwa_hamiltonian`` from ``tests/conftest.py``.
+"""
+
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -13,24 +20,14 @@ from cavityphase.analysis import (
     schedule_channel,
 )
 from cavityphase.effective import factorized_propagator, ideal_ntcp
-from cavityphase.hamiltonians import collective_ops
-from cavityphase.hilbert import cavity_ops, channel_fidelity, make_space
-from cavityphase.integrator import TimeDependentHamiltonian, propagate
+from cavityphase.hilbert import channel_fidelity, make_space
+from cavityphase.integrator import propagate
 from cavityphase.protocol import schedule_method_a, solve_parameters
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from conftest import rwa_hamiltonian  # noqa: E402
+
 TWO_PI = 2.0 * np.pi
-
-
-def rwa_hamiltonian(space, g, delta):
-    _, _, _, s_x = collective_ops(space, range(1, space.num_qubits + 1))
-    a, _ = cavity_ops(space)
-    asx = a.entries @ s_x.entries
-
-    def builder(t):
-        term = 0.5 * g * np.exp(1j * delta * t) * asx
-        return term + term.conj().T
-
-    return TimeDependentHamiltonian(space, builder, abs(delta))
 
 
 def criterion7():

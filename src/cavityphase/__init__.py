@@ -48,21 +48,14 @@ from .errors import (
     SingularDetuningError,
     StepBudgetExceededError,
     TruncationWarning,
-    UnsupportedConfigurationError,
     WrongCaseError,
 )
 from .hamiltonians import (
     CircuitParams,
-    CouplingSpec,
-    DriveSpec,
-    charge_basis_transform,
     charge_qubit_map,
     collective_ops,
     degeneracy_deviations,
     flux_for_qubit_freq,
-    h_interaction,
-    h_rotated_full,
-    h_rotated_rwa,
     h_step3,
 )
 from .hilbert import (

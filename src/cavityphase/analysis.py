@@ -10,6 +10,7 @@ reports; they are never multiplied into fidelities.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 from collections.abc import Mapping, Sequence
@@ -313,35 +314,76 @@ def effective_gates_from_schedule(schedule: Schedule) -> tuple[EffectiveGate, ..
     return g1, g2, g3
 
 
+def _parse_cavity_label(label, fock_cutoff: int) -> tuple[str, complex | None]:
+    """Kind and numeric argument of a cavity-state label, checked without
+    building the state: a known kind, a finite argument (none for
+    ``vacuum``), a mean photon number ``>= 0`` and a Fock index in
+    ``0..fock_cutoff``.  Anything else raises :class:`ConfigError`."""
+    kind, sep, text = str(label).partition(":")
+    value = None
+    try:
+        if kind == "vacuum":
+            ok = not sep
+        elif kind == "fock":
+            value = int(text)
+            ok = 0 <= value <= fock_cutoff
+        elif kind == "coherent":
+            value = complex(text)
+            ok = cmath.isfinite(value)
+        elif kind == "thermal":
+            value = float(text)
+            ok = math.isfinite(value) and value >= 0
+        else:
+            ok = False
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ConfigError(
+            f"bad cavity state label {label!r}; expected vacuum, fock:M with "
+            f"0 <= M <= {fock_cutoff}, coherent:A with finite A, or thermal:N "
+            "with finite N >= 0",
+            "cavity_states",
+        )
+    return kind, value
+
+
 def make_cavity_state(label: str, fock_cutoff: int) -> tuple[DensityMatrix, float]:
     """Build a cavity initial state from a label and report its truncated
     weight.
 
     Labels: ``vacuum``, ``fock:<m>``, ``coherent:<alpha>``,
-    ``thermal:<nbar>``.  States whose truncated weight exceeds
-    ``MAX_STATE_TRUNCATION_WEIGHT`` are rejected.
+    ``thermal:<nbar>``.  Malformed labels, and states whose truncated
+    weight exceeds ``MAX_STATE_TRUNCATION_WEIGHT``, raise
+    :class:`ConfigError`.
     """
-    kind, _, arg = label.partition(":")
+    kind, value = _parse_cavity_label(label, fock_cutoff)
     if kind == "vacuum":
         state, weight = cavity_vacuum(fock_cutoff), 0.0
     elif kind == "fock":
-        state, weight = cavity_fock(fock_cutoff, int(arg)), 0.0
+        state, weight = cavity_fock(fock_cutoff, value), 0.0
     elif kind == "coherent":
-        state, weight = cavity_coherent(fock_cutoff, complex(arg))
-    elif kind == "thermal":
-        state, weight = cavity_thermal(fock_cutoff, float(arg))
+        state, weight = cavity_coherent(fock_cutoff, value)
     else:
-        raise ValueError(f"unknown cavity state label {label!r}")
-    if weight > MAX_STATE_TRUNCATION_WEIGHT:
-        raise ValueError(
+        state, weight = cavity_thermal(fock_cutoff, value)
+    if not weight <= MAX_STATE_TRUNCATION_WEIGHT:  # also rejects a NaN weight
+        raise ConfigError(
             f"cavity state {label!r} leaves weight {weight:.3g} above the "
-            f"cutoff {fock_cutoff}; increase the cutoff"
+            f"cutoff {fock_cutoff}; increase the cutoff",
+            "cavity_states",
         )
     return state, weight
 
 
 @dataclass(frozen=True)
 class RobustnessResult:
+    """Per-cavity-state scores of one schedule.
+
+    With ``model='full'`` the ``fidelities`` are :func:`channel_fidelity`
+    with its default sigma-x probes: they score sigma-x-basis populations
+    only and cannot see the gate's phases.  With ``model='effective'`` they
+    are the phase-sensitive :func:`gate_fidelity` of the closed forms.
+    """
+
     fidelities: Mapping[str, float]
     spread: float
     truncated_weights: Mapping[str, float]
@@ -557,6 +599,8 @@ class ExperimentConfig:
                 f"dimension 2^(n+1) (fock_cutoff+1) above {MAX_SPACE_DIM}",
                 "n" if too_many_qubits else "fock_cutoff",
             )
+        for label in self.cavity_states:
+            _parse_cavity_label(label, int(self.fock_cutoff))
 
     @classmethod
     def from_dict(cls, data: dict) -> ExperimentConfig:
@@ -575,6 +619,8 @@ class ExperimentConfig:
                 f"realization must be one of {', '.join(REALIZATIONS)}", "realization"
             )
         if "cavity_states" in kwargs:
+            if not isinstance(kwargs["cavity_states"], (list, tuple)):
+                raise ConfigError("cavity_states must be a list of labels", "cavity_states")
             kwargs["cavity_states"] = tuple(kwargs["cavity_states"])
         if "circuit" in kwargs and kwargs["circuit"] is not None:
             try:
@@ -614,7 +660,15 @@ def _parse_axis(raw: dict) -> SweepAxis:
 
 @dataclass(frozen=True)
 class GateReport:
-    """Everything one experiment produced, JSON-serializable."""
+    """Everything one experiment produced, JSON-serializable.
+
+    ``full_fidelities`` are :func:`channel_fidelity` scores of the exact
+    dynamics with its default sigma-x probes, one per cavity state: they see
+    sigma-x-basis populations only and are blind to the gate's phases (the
+    identity scores 1.0 against the one-target gate).
+    ``effective_fidelity`` is the phase-sensitive :func:`gate_fidelity` of
+    the closed-form gate, so the two are different metrics.
+    """
 
     params: dict
     schedule: dict
@@ -688,6 +742,11 @@ def run_experiment(config: ExperimentConfig) -> GateReport:
     effective_fidelity = gate_fidelity(effective.matrix, ideal.matrix)
     warnings.extend(effective.warnings)
 
+    # built before propagating, so a state the cutoff cannot hold fails first
+    states = {
+        label: make_cavity_state(label, config.fock_cutoff)
+        for label in config.cavity_states
+    }
     space = make_space(params.n + 1, config.fock_cutoff)
     prop = propagate_schedule(space, schedule, config.tol)
     defect = prop.max_unitarity_defect
@@ -700,8 +759,7 @@ def run_experiment(config: ExperimentConfig) -> GateReport:
     truncated_weights: dict[str, float] = {}
     mean_photons: dict[str, float] = {}
     top_populations: dict[str, float] = {}
-    for label in config.cavity_states:
-        state, weight = make_cavity_state(label, config.fock_cutoff)
+    for label, (state, weight) in states.items():
         truncated_weights[label] = weight
         mean_photons[label] = state.mean_photon_number()
         full_fidelities[label] = channel_fidelity(
@@ -823,7 +881,8 @@ def run_sweep(
     Returns the CSV header and rows, in deterministic grid order (product
     of the axes in config order, each axis in its given value order).
     Rows hold the swept values followed by the effective fidelity, one full
-    fidelity per cavity state, the spread, the leakage estimates and the
+    fidelity per cavity state (the sigma-x-population score of
+    :class:`GateReport`), the spread, the leakage estimates and the
     operation time.
     """
     if not config.sweep:

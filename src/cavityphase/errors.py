@@ -9,11 +9,6 @@ class DimensionMismatchError(CavityPhaseError, ValueError):
     """Operands live on different Hilbert spaces or have incompatible shapes."""
 
 
-class UnsupportedConfigurationError(CavityPhaseError, ValueError):
-    """A physically meaningful but unsupported configuration was requested,
-    e.g. a drive that is not resonant with the qubit transition."""
-
-
 class SingularDetuningError(CavityPhaseError, ValueError):
     """A closed-form expression was requested at zero detuning."""
 

@@ -1,6 +1,12 @@
-"""Interaction-picture Hamiltonians for driven qubits coupled to one cavity
-mode, plus the charge-qubit circuit mapping that produces the physical
-protocol parameters.
+"""Collective qubit operators, the dense third-step drive Hamiltonian, and
+the charge-qubit circuit mapping that produces the physical protocol
+parameters.
+
+The time-dependent Hamiltonian of every schedule step, with its rotating
+frame, is built by :func:`cavityphase.analysis.step_hamiltonian`.  The
+collective operators here serve the closed-form propagators of
+:mod:`cavityphase.effective`, and :func:`h_step3` is the dense route the
+closed-form third step is checked against.
 
 All frequencies are angular (rad/s) and hbar is set to 1, so Hamiltonian
 entries are angular frequencies and times are seconds.  Circuit parameters
@@ -21,15 +27,12 @@ Conventions (fixed package-wide):
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 from scipy.constants import e as E_CHARGE
 from scipy.constants import hbar as HBAR
 
-from .errors import UnsupportedConfigurationError
 from .hilbert import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -37,82 +40,17 @@ from .hilbert import (
     SIGMA_Z,
     OperatorMatrix,
     SpaceDescriptor,
-    cavity_ops,
     embed_qubit_op,
-    x_basis_transform,
 )
 
 __all__ = [
-    "DriveSpec",
-    "CouplingSpec",
     "CircuitParams",
     "collective_ops",
-    "h_interaction",
-    "h_rotated_full",
-    "h_rotated_rwa",
     "h_step3",
     "charge_qubit_map",
     "flux_for_qubit_freq",
     "degeneracy_deviations",
-    "charge_basis_transform",
 ]
-
-
-@dataclass(frozen=True)
-class DriveSpec:
-    """A classical pulse resonant with the qubit transition.
-
-    ``frequency is None`` means resonance is assumed; a concrete value is
-    checked against the driven qubits' transition frequencies.
-    """
-
-    rabi: float
-    phase: float
-    applies_to: frozenset[int]
-    frequency: float | None = None
-
-    def __post_init__(self):
-        if self.rabi < 0:
-            raise ValueError(f"Rabi frequency must be >= 0, got {self.rabi}")
-        object.__setattr__(self, "applies_to", frozenset(self.applies_to))
-
-
-@dataclass(frozen=True)
-class CouplingSpec:
-    """Qubit-cavity coupling with per-qubit transition frequencies.
-
-    The detuning ``delta_j = w0_j - w_c`` is always derived, never stored.
-    """
-
-    g: float
-    coupled_qubits: frozenset[int]
-    qubit_freq: Mapping[int, float]
-    cavity_freq: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "coupled_qubits", frozenset(self.coupled_qubits))
-        object.__setattr__(self, "qubit_freq", MappingProxyType(dict(self.qubit_freq)))
-        missing = self.coupled_qubits - set(self.qubit_freq)
-        if missing:
-            raise ValueError(f"no transition frequency for coupled qubits {sorted(missing)}")
-
-    def detuning(self, qubit: int) -> float:
-        return self.qubit_freq[qubit] - self.cavity_freq
-
-    @classmethod
-    def from_detunings(
-        cls, g: float, detunings: Mapping[int, float], cavity_freq: float = 0.0
-    ) -> CouplingSpec:
-        """Build a spec directly from per-qubit detunings (cavity frequency
-        fixed to ``cavity_freq``, transition frequencies derived)."""
-        freqs = {j: cavity_freq + d for j, d in detunings.items()}
-        return cls(g, frozenset(detunings), freqs, cavity_freq)
-
-    @classmethod
-    def uniform(
-        cls, g: float, qubits, delta: float, cavity_freq: float = 0.0
-    ) -> CouplingSpec:
-        return cls.from_detunings(g, {j: delta for j in qubits}, cavity_freq)
 
 
 def _validate_included(space: SpaceDescriptor, included) -> tuple[int, ...]:
@@ -148,106 +86,6 @@ def collective_ops(
         OperatorMatrix(space, s_m),
         OperatorMatrix(space, s_p + s_m, hermitian=True),
     )
-
-
-def _drive_matrix(space: SpaceDescriptor, drive: DriveSpec) -> np.ndarray:
-    if not drive.applies_to:
-        return np.zeros((space.dim, space.dim), dtype=complex)
-    _, s_p, s_m, _ = collective_ops(space, drive.applies_to)
-    return 0.5 * drive.rabi * (
-        np.exp(1j * drive.phase) * s_m.entries + np.exp(-1j * drive.phase) * s_p.entries
-    )
-
-
-def _coupling_matrix(space: SpaceDescriptor, coupling: CouplingSpec, t: float) -> np.ndarray:
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-    if not coupling.coupled_qubits:
-        return h
-    a, _ = cavity_ops(space)
-    for j in sorted(coupling.coupled_qubits):
-        delta = coupling.detuning(j)
-        sp = embed_qubit_op(space, j, SIGMA_PLUS).entries
-        term = coupling.g * np.exp(1j * delta * t) * (a.entries @ sp)
-        h += term + term.conj().T
-    return h
-
-
-def h_interaction(
-    space: SpaceDescriptor, coupling: CouplingSpec, drive: DriveSpec, t: float
-) -> OperatorMatrix:
-    """Drive plus qubit-cavity interaction at time ``t`` in the interaction
-    picture of the free Hamiltonian.
-
-    The drive must be resonant with every qubit it addresses; anything else
-    raises :class:`UnsupportedConfigurationError`.
-    """
-    if drive.frequency is not None:
-        for j in drive.applies_to:
-            w0 = coupling.qubit_freq.get(j)
-            if w0 is not None and not math.isclose(
-                drive.frequency, w0, rel_tol=1e-12, abs_tol=0.0
-            ):
-                raise UnsupportedConfigurationError(
-                    f"drive frequency {drive.frequency} is not resonant with "
-                    f"qubit {j} transition {w0}"
-                )
-    h = _drive_matrix(space, drive) + _coupling_matrix(space, coupling, t)
-    return OperatorMatrix(space, h, hermitian=True)
-
-
-def _uniform_detuning(coupling: CouplingSpec) -> float:
-    deltas = {coupling.detuning(j) for j in coupling.coupled_qubits}
-    if len(deltas) != 1:
-        raise UnsupportedConfigurationError(
-            "rotated-frame builders require a uniform detuning over the coupled set"
-        )
-    return deltas.pop()
-
-
-def h_rotated_full(
-    space: SpaceDescriptor,
-    coupling: CouplingSpec,
-    omega: float,
-    t: float,
-    include_fast_terms: bool = True,
-) -> OperatorMatrix:
-    """Exact coupling Hamiltonian in the frame co-rotating with a phase-pi
-    collective drive of Rabi frequency ``omega``:
-
-        (g/2) e^{i delta t} a [S_x + (1/2)(S_z - S_- + S_+) e^{-i omega t}
-                                   - (1/2)(S_z + S_- - S_+) e^{i omega t}] + h.c.
-
-    With ``include_fast_terms=False`` the e^{+-i omega t} terms are dropped,
-    reproducing :func:`h_rotated_rwa`.
-    """
-    delta = _uniform_detuning(coupling)
-    s_z, s_p, s_m, s_x = collective_ops(space, coupling.coupled_qubits)
-    a, _ = cavity_ops(space)
-    qubit_part = s_x.entries.copy()
-    if include_fast_terms:
-        qubit_part = qubit_part + 0.5 * (
-            (s_z.entries - s_m.entries + s_p.entries) * np.exp(-1j * omega * t)
-            - (s_z.entries + s_m.entries - s_p.entries) * np.exp(1j * omega * t)
-        )
-    half = 0.5 * coupling.g * np.exp(1j * delta * t) * (a.entries @ qubit_part)
-    return OperatorMatrix(space, half + half.conj().T, hermitian=True)
-
-
-def h_rotated_rwa(space: SpaceDescriptor, coupling: CouplingSpec, t: float) -> OperatorMatrix:
-    """Rotated-frame coupling after dropping the fast terms:
-    ``(g/2)(e^{i delta t} a + e^{-i delta t} a+) S_x``.
-
-    Valid in the strong-drive regime where the Rabi frequency dominates both
-    the detuning and the coupling; regime violations are the caller's
-    experiment, not an error.
-    """
-    delta = _uniform_detuning(coupling)
-    _, _, _, s_x = collective_ops(space, coupling.coupled_qubits)
-    a, a_dag = cavity_ops(space)
-    field_part = 0.5 * coupling.g * (
-        np.exp(1j * delta * t) * a.entries + np.exp(-1j * delta * t) * a_dag.entries
-    )
-    return OperatorMatrix(space, field_part @ s_x.entries, hermitian=True)
 
 
 def h_step3(space: SpaceDescriptor, omega1: float, omega_r: float) -> OperatorMatrix:
@@ -375,16 +213,3 @@ def degeneracy_deviations(
         scale * omega1,
         scale * omega_r,
     )
-
-
-def charge_basis_transform(num_qubits: int) -> np.ndarray:
-    """Fixed unitary between the computational basis and the charge basis.
-
-    Charge qubits store information in the two charge states, which are the
-    sigma-x eigenstates of the computational basis used here:
-    ``|0> = (|+> + |->)/sqrt(2)`` and ``|1> = (|+> - |->)/sqrt(2)``.  The
-    transform is the Hadamard on every qubit and is its own inverse, so the
-    controlled-phase action on charge states is exactly the sigma-x-basis
-    action of the ideal gate.
-    """
-    return x_basis_transform(num_qubits)

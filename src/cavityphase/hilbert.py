@@ -360,6 +360,12 @@ def channel_fidelity(
     For each probe ``psi`` the score is ``<psi_ideal| rho |psi_ideal>`` with
     ``psi_ideal = ideal @ psi`` and ``rho`` the channel output.  The default
     probe set is all product states in the per-qubit sigma-x eigenbasis.
+
+    The ideal controlled-phase gate is diagonal in that basis, so with the
+    default probes this scores sigma-x-basis populations only and is blind
+    to the gate's phases: the identity channel scores 1.0 against
+    ``ideal_ntcp(1)``, whose :func:`gate_fidelity` with the identity is 0.5.
+    Pass other probes (e.g. :func:`z_basis_product_states`) to see phases.
     """
     if probe_set is None:
         probe_set = x_basis_product_states(ideal.space.num_qubits)

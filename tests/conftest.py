@@ -1,12 +1,15 @@
-"""Shared fixtures and reference hardware parameters."""
+"""Shared builders and reference hardware parameters."""
 
 import math
 
+import numpy as np
 from scipy.constants import e as E_CHARGE
 from scipy.constants import h as PLANCK
 from scipy.constants import hbar as HBAR
 
-from cavityphase.hamiltonians import CircuitParams, quantum_voltage
+from cavityphase.hamiltonians import CircuitParams, collective_ops, quantum_voltage
+from cavityphase.hilbert import cavity_ops
+from cavityphase.integrator import TimeDependentHamiltonian
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,3 +44,17 @@ def reference_circuit(
         length=length,
         cap_per_length=cap_per_length,
     )
+
+
+def rwa_hamiltonian(space, g, delta):
+    """Strong-drive rotated-frame coupling ``(g/2)(e^{i delta t} a + h.c.) S_x``
+    over every qubit, as a builder-only Hamiltonian (integrated adaptively)."""
+    _, _, _, s_x = collective_ops(space, range(1, space.num_qubits + 1))
+    a, _ = cavity_ops(space)
+    asx = a.entries @ s_x.entries
+
+    def builder(t):
+        term = 0.5 * g * np.exp(1j * delta * t) * asx
+        return term + term.conj().T
+
+    return TimeDependentHamiltonian(space, builder, abs(delta))

@@ -4,16 +4,19 @@ pass/fail line (run with ``pytest tests/test_acceptance.py -v -s``).
 Derived regression numbers were produced by ``scripts/freeze_regressions.py``
 on the first verified run and are asserted within an absolute window of
 1e-4, far below the physical effects under test but wide enough to absorb
-BLAS variation across builds.  Criteria 7-9 propagate schedules on the
-exact rotating-frame path; criterion 6 integrates adaptively and takes
-most of the module's few seconds.
+BLAS variation across builds; the last test keeps that script importable.
+Criteria 7-9 propagate schedules on the exact rotating-frame path;
+criterion 6 integrates adaptively and takes most of the module's few
+seconds.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import reference_circuit
+from conftest import reference_circuit, rwa_hamiltonian
 
 from cavityphase.analysis import (
     LeakageSpec,
@@ -29,19 +32,18 @@ from cavityphase.effective import (
     ideal_ntcnot,
     ideal_ntcp,
 )
-from cavityphase.hamiltonians import charge_qubit_map, collective_ops
+from cavityphase.hamiltonians import charge_qubit_map
 from cavityphase.hilbert import (
     HADAMARD,
     SIGMA_X,
     OperatorMatrix,
-    cavity_ops,
     channel_fidelity,
     embed_qubit_op,
     gate_fidelity,
     make_space,
     qubit_space,
 )
-from cavityphase.integrator import TimeDependentHamiltonian, propagate
+from cavityphase.integrator import propagate
 from cavityphase.protocol import (
     schedule_atoms,
     schedule_charge,
@@ -163,18 +165,6 @@ def test_criterion_05_effective_gate_identity():
     _report(5, "effective-model gate identity", ok, f"worst |1 - F| = {worst:.2e}")
 
 
-def _rwa_hamiltonian(space, g, delta):
-    _, _, _, s_x = collective_ops(space, range(1, space.num_qubits + 1))
-    a, _ = cavity_ops(space)
-    asx = a.entries @ s_x.entries
-
-    def builder(t):
-        term = 0.5 * g * np.exp(1j * delta * t) * asx
-        return term + term.conj().T
-
-    return TimeDependentHamiltonian(space, builder, abs(delta))
-
-
 def test_criterion_06_factorization_oracle():
     """Time-ordered integration of the strong-drive rotated-frame
     Hamiltonian over one revival period matches the closed-form
@@ -195,7 +185,7 @@ def test_criterion_06_factorization_oracle():
     blocks = {}
     for ref_cutoff in (12, 16):
         big = make_space(1, ref_cutoff)
-        r = propagate(_rwa_hamiltonian(big, g, delta), 0.0, tau, 2e-7)
+        r = propagate(rwa_hamiltonian(big, g, delta), 0.0, tau, 2e-7)
         cd = ref_cutoff + 1
         keep = (np.arange(big.dim) % cd) <= 6
         blocks[ref_cutoff] = r.propagator.entries[np.ix_(keep, keep)]
@@ -332,3 +322,14 @@ def test_criterion_10_ntcnot_equivalence():
         f"sandwich diff = {worst_sandwich:.1e}, independent-construction "
         f"diff = {worst_independent:.1e}, CNOT fidelity = {f_cnot:.12f}",
     )
+
+
+def test_freeze_script_imports_with_the_shared_rwa_builder():
+    """``scripts/freeze_regressions.py`` loads without running and uses the
+    suite's single strong-drive builder."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "freeze_regressions.py"
+    spec = importlib.util.spec_from_file_location("freeze_regressions", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.rwa_hamiltonian is rwa_hamiltonian
+    assert all(callable(getattr(module, f"criterion{i}")) for i in (6, 7, 8))

@@ -99,6 +99,24 @@ class TestCavityStates:
         with pytest.raises(ValueError):
             make_cavity_state("squeezed:1", 5)
 
+    @pytest.mark.parametrize(
+        "label",
+        ["fock:x", "bogus", "coherent:nan", "thermal:inf", "fock:6", "fock:-1",
+         "fock:1.5", "thermal:-0.1", "vacuum:1", "coherent:", 3],
+    )
+    def test_malformed_label_is_a_config_error(self, label):
+        with pytest.raises(ConfigError) as err:
+            make_cavity_state(label, 5)
+        assert err.value.field_name == "cavity_states"
+
+    def test_truncation_rejection_is_a_config_error(self):
+        with pytest.raises(ConfigError) as err:
+            make_cavity_state("coherent:3", 5)
+        assert err.value.field_name == "cavity_states"
+        # a weight that cannot be computed is rejected, not passed on as NaN
+        with np.errstate(all="ignore"), pytest.raises(ConfigError, match="nan"):
+            make_cavity_state("coherent:1e154", 5)
+
 
 def quick_schedule(n=1, ratio=10.0, g=1.0, k=0):
     return schedule_method_a(solve_parameters(g, k, ratio, n))
@@ -240,6 +258,12 @@ class TestConfig:
     def test_unknown_realization_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"realization": "trapped-ion"})
+
+    @pytest.mark.parametrize("states", ["vacuum", 5, None])
+    def test_cavity_states_must_be_a_list(self, states):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict({"cavity_states": states})
+        assert err.value.field_name == "cavity_states"
 
     def test_sweep_axis_parsing(self):
         config = ExperimentConfig.from_dict(
@@ -546,6 +570,29 @@ class TestConfigLimits:
 
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(json.loads('{"omega_ratio": NaN}'))
+
+    def test_bad_cavity_label_rejected_at_construction(self):
+        for label in ("fock:x", "bogus", "coherent:nan", "thermal:inf", "fock:6"):
+            with pytest.raises(ConfigError) as err:
+                ExperimentConfig(fock_cutoff=5, cavity_states=("vacuum", label))
+            assert err.value.field_name == "cavity_states"
+        ExperimentConfig(fock_cutoff=6, cavity_states=("fock:6", "coherent:0.3+0.4j", "thermal:0.5"))
+
+    def test_sweep_rejects_a_label_one_point_cannot_hold(self, monkeypatch):
+        import cavityphase.analysis as analysis
+
+        calls = []
+        monkeypatch.setattr(analysis, "run_experiment", lambda c: calls.append(c))
+        config = ExperimentConfig.from_dict(
+            {
+                "fock_cutoff": 4,
+                "cavity_states": ["fock:4"],
+                "sweep": [{"parameter": "fock_cutoff", "values": [4, 3]}],
+            }
+        )
+        with pytest.raises(ConfigError):
+            run_sweep(config)
+        assert calls == []
 
     def test_sweep_checks_every_point_before_running_any(self, monkeypatch):
         import cavityphase.analysis as analysis

@@ -300,3 +300,19 @@ def test_oversized_config_exits_one(tmp_path, capsys):
     code = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path)])
     assert code == 1
     assert "fock_cutoff" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", ["fock:x", "bogus", "coherent:nan", "thermal:inf", "coherent:3"])
+def test_bad_cavity_state_exits_one_before_propagating(tmp_path, capsys, monkeypatch, label):
+    import cavityphase.analysis as analysis
+
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("propagated before rejecting the cavity state")
+
+    monkeypatch.setattr(analysis, "propagate_schedule", no_propagation)
+    config = write_config(tmp_path, fock_cutoff=5, cavity_states=["vacuum", label])
+    code = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "config error" in err and "cavity_states" in err
+    assert "Traceback" not in err

@@ -4,6 +4,11 @@ Every step Hamiltonian a schedule produces declares its rotating frame and
 is propagated exactly; ``dataclasses.replace(h, frame=None)`` sends the same
 Hamiltonian through the adaptive integrator, which is the reference here.
 Adaptive runs stay cheap: cutoff <= 3 and tolerance >= 1e-3.
+
+The last test closes the chain to the closed forms: in the frame of its
+own drive, the exact step-one propagator tends to the strong-drive RWA
+propagator as the drive grows (criterion 6 checks that RWA propagator
+against adaptive integration of the RWA Hamiltonian).
 """
 
 import dataclasses
@@ -16,7 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavityphase.analysis import propagate_schedule, step_hamiltonian
+from cavityphase.effective import factorized_propagator
 from cavityphase.errors import DimensionMismatchError, TruncationWarning
+from cavityphase.hamiltonians import collective_ops
 from cavityphase.hilbert import StateVector, make_space
 from cavityphase.integrator import (
     TimeDependentHamiltonian,
@@ -168,3 +175,30 @@ def test_wrong_frame_is_rejected():
         propagate(wrong, 0.0, step.duration, TOL)
     with pytest.raises(DimensionMismatchError):
         TimeDependentHamiltonian(h.space, h.builder, h.max_frequency, h.frame[:-1])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_step_one_in_the_drive_frame_tends_to_the_rwa_closed_form(n):
+    # U_rot = exp(+i H1 T) U with H1 = -(Omega/2) S_x, the phase-pi drive,
+    # keeps the coupling's fast e^{+-i Omega t} terms that the RWA drops;
+    # their effect falls as omega/g grows.  Compared on the photon-number
+    # <= 6 block, away from the cutoff-20 truncation wall.  Step one lasts
+    # T = pi/g, so Omega T / 2 = (omega/g) pi/2: at integer omega/g the
+    # drive rotation is real on every S_x eigenspace of one target and
+    # its sign would go unchecked; half-integer ratios keep it complex.
+    space = make_space(n + 1, 20)
+    _, _, _, s_x = collective_ops(space, range(1, n + 2))
+    sx_vals, sx_vecs = np.linalg.eigh(s_x.entries)
+    keep = (np.arange(space.dim) % space.cavity_dim) <= 6
+    deviations = []
+    for ratio in (10.5, 50.5, 200.5):
+        step = schedule_method_a(solve_parameters(1.0, 0, ratio, n)).steps[0]
+        q, tau = step.qubits[0], step.duration
+        result = propagate(step_hamiltonian(space, step), 0.0, tau, TOL)
+        assert result.paths == (("frame", 1),)
+        undrive = (sx_vecs * np.exp(-0.5j * q.drive_rabi * tau * sx_vals)) @ sx_vecs.conj().T
+        rotated = (undrive @ result.propagator.entries)[np.ix_(keep, keep)]
+        closed = factorized_propagator(make_space(n + 1, 6), q.coupling, q.detuning, tau)
+        deviations.append(float(np.max(np.abs(rotated - closed.entries))))
+    assert deviations[0] > deviations[1] > deviations[2]
+    assert deviations[2] < 0.1

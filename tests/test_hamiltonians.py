@@ -1,5 +1,5 @@
-"""Tests for collective operators, interaction-picture builders, the
-rotated frame, and the charge-circuit mapping."""
+"""Tests for collective operators, the dense third-step Hamiltonian, and
+the charge-circuit mapping."""
 
 import math
 
@@ -7,28 +7,19 @@ import numpy as np
 import pytest
 from scipy.constants import h as PLANCK
 
-from cavityphase.errors import UnsupportedConfigurationError
 from cavityphase.hamiltonians import (
     CircuitParams,
-    CouplingSpec,
-    DriveSpec,
-    charge_basis_transform,
     charge_qubit_map,
     collective_ops,
     degeneracy_deviations,
     flux_for_qubit_freq,
-    h_interaction,
-    h_rotated_full,
-    h_rotated_rwa,
     h_step3,
     quantum_voltage,
 )
 from cavityphase.effective import effective_step3
 from cavityphase.hilbert import (
     SIGMA_X,
-    cavity_ops,
     embed_qubit_op,
-    make_space,
     qubit_space,
 )
 
@@ -83,111 +74,6 @@ class TestCollectiveOps:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             collective_ops(qubit_space(2), [3])
-
-
-class TestInteractionHamiltonian:
-    def test_phase_pi_drive_only(self):
-        space = make_space(2, 2)
-        coupling = CouplingSpec(0.0, frozenset(), {}, 0.0)  # no coupled qubits
-        drive = DriveSpec(rabi=2.0, phase=math.pi, applies_to=frozenset({1, 2}))
-        h = h_interaction(space, coupling, drive, 0.3)
-        _, _, _, s_x = collective_ops(space, [1, 2])
-        assert np.max(np.abs(h.entries + 0.5 * 2.0 * s_x.entries)) < 1e-12
-
-    def test_phase_zero_drive_on_targets(self):
-        space = make_space(3, 1)
-        coupling = CouplingSpec(0.0, frozenset(), {}, 0.0)
-        drive = DriveSpec(rabi=1.4, phase=0.0, applies_to=frozenset({2, 3}))
-        h = h_interaction(space, coupling, drive, 0.0)
-        _, _, _, s_x_p = collective_ops(space, [2, 3])
-        assert np.max(np.abs(h.entries - 0.5 * 1.4 * s_x_p.entries)) < 1e-12
-
-    def test_pure_coupling_at_time_zero(self):
-        space = make_space(2, 3)
-        coupling = CouplingSpec.uniform(0.7, [1, 2], delta=-1.3)
-        drive = DriveSpec(rabi=0.0, phase=0.0, applies_to=frozenset())
-        h = h_interaction(space, coupling, drive, 0.0)
-        a, a_dag = cavity_ops(space)
-        _, s_p, s_m, _ = collective_ops(space, [1, 2])
-        expected = 0.7 * (a.entries @ s_p.entries + a_dag.entries @ s_m.entries)
-        assert np.max(np.abs(h.entries - expected)) < 1e-12
-
-    def test_hermitian_at_random_times(self):
-        space = make_space(2, 2)
-        coupling = CouplingSpec.uniform(0.5, [1, 2], delta=-2.0)
-        drive = DriveSpec(rabi=3.0, phase=math.pi, applies_to=frozenset({1, 2}))
-        rng = np.random.default_rng(4)
-        for t in rng.uniform(0, 10, size=6):
-            h = h_interaction(space, coupling, drive, float(t))
-            assert np.max(np.abs(h.entries - h.entries.conj().T)) < 1e-12
-
-    def test_nonresonant_drive_rejected(self):
-        space = make_space(1, 1)
-        coupling = CouplingSpec(0.5, frozenset({1}), {1: 5.0}, 4.0)
-        drive = DriveSpec(rabi=1.0, phase=0.0, applies_to=frozenset({1}), frequency=5.5)
-        with pytest.raises(UnsupportedConfigurationError):
-            h_interaction(space, coupling, drive, 0.0)
-
-
-class TestRotatedFrame:
-    def conjugation_oracle(self, space, coupling, omega, t):
-        """Directly conjugate the coupling term with exp(i H1 t), the
-        relation the closed-form rotated Hamiltonian is supposed to satisfy."""
-        drive = DriveSpec(rabi=0.0, phase=0.0, applies_to=frozenset())
-        h2 = h_interaction(space, coupling, drive, t).entries
-        _, _, _, s_x = collective_ops(space, sorted(coupling.coupled_qubits))
-        h1 = -0.5 * omega * s_x.entries
-        u1 = expmi(h1, -t)  # exp(+i H1 t)
-        return u1 @ h2 @ u1.conj().T
-
-    @pytest.mark.parametrize("nq, cutoff", [(1, 2), (2, 3), (2, 5)])
-    def test_matches_direct_conjugation(self, nq, cutoff):
-        space = make_space(nq, cutoff)
-        coupling = CouplingSpec.uniform(0.8, range(1, nq + 1), delta=-1.7)
-        omega = 11.0
-        rng = np.random.default_rng(8)
-        for t in rng.uniform(0, 5, size=4):
-            built = h_rotated_full(space, coupling, omega, float(t))
-            oracle = self.conjugation_oracle(space, coupling, omega, float(t))
-            assert np.max(np.abs(built.entries - oracle)) < 1e-10
-
-    def test_fast_terms_revive_after_drive_period(self):
-        # With the detuning phase frozen (delta = 0) the only time
-        # dependence left is e^{+-i omega t}, so the full rotated
-        # Hamiltonian is exactly periodic with the drive period.
-        space = make_space(1, 2)
-        coupling = CouplingSpec.uniform(0.5, [1], delta=0.0)
-        omega = 7.0
-        for t0 in (0.0, 0.4, 1.9):
-            h_a = h_rotated_full(space, coupling, omega, t0)
-            h_b = h_rotated_full(space, coupling, omega, t0 + TWO_PI / omega)
-            assert np.max(np.abs(h_a.entries - h_b.entries)) < 1e-12
-
-    def test_dropping_fast_terms_gives_rwa(self):
-        space = make_space(2, 2)
-        coupling = CouplingSpec.uniform(0.6, [1, 2], delta=-1.1)
-        for t in (0.0, 0.7, 2.9):
-            slow = h_rotated_full(space, coupling, 9.0, t, include_fast_terms=False)
-            rwa = h_rotated_rwa(space, coupling, t)
-            assert np.max(np.abs(slow.entries - rwa.entries)) < 1e-13
-
-    def test_rwa_form_at_time_zero(self):
-        space = make_space(2, 3)
-        coupling = CouplingSpec.uniform(0.4, [1, 2], delta=2.2)
-        h = h_rotated_rwa(space, coupling, 0.0)
-        a, a_dag = cavity_ops(space)
-        _, _, _, s_x = collective_ops(space, [1, 2])
-        expected = 0.5 * 0.4 * (a.entries + a_dag.entries) @ s_x.entries
-        assert np.max(np.abs(h.entries - expected)) < 1e-13
-
-    def test_rwa_hermitian_and_commutes_with_sx(self):
-        space = make_space(2, 2)
-        coupling = CouplingSpec.uniform(0.4, [1, 2], delta=-0.8)
-        _, _, _, s_x = collective_ops(space, [1, 2])
-        for t in (0.0, 1.3, 4.1):
-            h = h_rotated_rwa(space, coupling, t).entries
-            assert np.max(np.abs(h - h.conj().T)) < 1e-12
-            assert np.max(np.abs(h @ s_x.entries - s_x.entries @ h)) < 1e-12
 
 
 class TestStepThree:
@@ -308,13 +194,3 @@ class TestDegeneracyDeviations:
     def test_positive_charging_energy_required(self):
         with pytest.raises(ValueError):
             degeneracy_deviations(1, 1, 1, 1, 1, 1, 0.0)
-
-
-class TestChargeBasis:
-    def test_transform_is_involutive_hadamard(self):
-        w = charge_basis_transform(2)
-        assert np.allclose(w @ w, np.eye(4), atol=1e-12)
-
-    def test_computational_zero_maps_to_plus(self):
-        w = charge_basis_transform(1)
-        assert np.allclose(w @ np.array([1, 0]), np.array([1, 1]) / math.sqrt(2))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import rwa_hamiltonian
 
 from cavityphase.effective import factorized_propagator
 from cavityphase.errors import (
@@ -11,12 +12,10 @@ from cavityphase.errors import (
     StepBudgetExceededError,
     TruncationWarning,
 )
-from cavityphase.hamiltonians import CouplingSpec, collective_ops
 from cavityphase.hilbert import (
     SIGMA_X,
     OperatorMatrix,
     StateVector,
-    cavity_ops,
     fock_state,
     make_space,
     product_state,
@@ -37,54 +36,6 @@ TWO_PI = 2.0 * math.pi
 def expmi(h, dt=1.0):
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * dt * w)) @ v.conj().T
-
-
-def rwa_hamiltonian(space, g, delta):
-    """Fast builder for the strong-drive rotated-frame coupling."""
-    _, _, _, s_x = collective_ops(space, range(1, space.num_qubits + 1))
-    a, _ = cavity_ops(space)
-    asx = a.entries @ s_x.entries
-
-    def builder(t):
-        term = 0.5 * g * np.exp(1j * delta * t) * asx
-        return term + term.conj().T
-
-    return TimeDependentHamiltonian(space, builder, abs(delta))
-
-
-def rotated_full_hamiltonian(space, coupling, omega):
-    """Fast builder for the exact rotated-frame coupling (fast terms kept)."""
-    included = sorted(coupling.coupled_qubits)
-    s_z, s_p, s_m, s_x = collective_ops(space, included)
-    a, _ = cavity_ops(space)
-    delta = coupling.detuning(included[0])
-    slow = a.entries @ s_x.entries
-    minus = a.entries @ (0.5 * (s_z.entries - s_m.entries + s_p.entries))
-    plus = a.entries @ (-0.5 * (s_z.entries + s_m.entries - s_p.entries))
-
-    def builder(t):
-        qpart = slow + np.exp(-1j * omega * t) * minus + np.exp(1j * omega * t) * plus
-        half = 0.5 * coupling.g * np.exp(1j * delta * t) * qpart
-        return half + half.conj().T
-
-    return TimeDependentHamiltonian(space, builder, omega + abs(delta))
-
-
-def interaction_hamiltonian(space, g, delta, omega, phase):
-    """Fast builder for drive plus coupling in the bare interaction picture."""
-    included = range(1, space.num_qubits + 1)
-    _, s_p, s_m, _ = collective_ops(space, included)
-    a, _ = cavity_ops(space)
-    drive = 0.5 * omega * (
-        np.exp(1j * phase) * s_m.entries + np.exp(-1j * phase) * s_p.entries
-    )
-    asp = a.entries @ s_p.entries
-
-    def builder(t):
-        term = g * np.exp(1j * delta * t) * asp
-        return drive + term + term.conj().T
-
-    return TimeDependentHamiltonian(space, builder, max(omega, abs(delta)))
 
 
 class TestPropagate:
@@ -158,48 +109,6 @@ class TestPropagate:
         with pytest.raises(StepBudgetExceededError) as err:
             propagate(rwa_hamiltonian(space, g, delta), 0.0, 50.0, 1e-8, step_budget=30)
         assert err.value.partial is not None
-
-
-class TestFrameRelations:
-    def test_rwa_limit_of_full_rotated_frame(self):
-        # propagation with the fast terms kept converges to the RWA result
-        # as the drive grows: the deviation at omega = 50 max(|delta|, g)
-        # must be below the deviation at omega = 10 max.
-        g, delta = 0.5, -1.0
-        space = make_space(1, 3)
-        tau = TWO_PI / abs(delta)
-        r_rwa = propagate(rwa_hamiltonian(space, g, delta), 0.0, tau, 1e-8)
-        deviations = []
-        for omega in (10.0, 50.0):
-            coupling = CouplingSpec.uniform(g, [1], delta)
-            r_full = propagate(
-                rotated_full_hamiltonian(space, coupling, omega), 0.0, tau, 1e-5
-            )
-            deviations.append(
-                np.max(np.abs(r_full.propagator.entries - r_rwa.propagator.entries))
-            )
-        assert deviations[1] < deviations[0]
-        assert deviations[0] > 1e-3  # both deviations well above integrator noise
-
-    def test_interaction_picture_vs_rotated_frame(self):
-        # propagating drive + coupling directly equals exp(-i H1 t) times
-        # the rotated-frame propagation, the defining frame relation
-        g, delta, omega = 0.8, -1.5, 8.0
-        space = make_space(1, 2)
-        tau = TWO_PI / abs(delta)
-        tol = 1e-6
-        r_int = propagate(
-            interaction_hamiltonian(space, g, delta, omega, math.pi), 0.0, tau, tol
-        )
-        coupling = CouplingSpec.uniform(g, [1], delta)
-        r_rot = propagate(
-            rotated_full_hamiltonian(space, coupling, omega), 0.0, tau, tol
-        )
-        _, _, _, s_x = collective_ops(space, [1])
-        h1 = -0.5 * omega * s_x.entries
-        u1 = expmi(h1, tau)
-        diff = np.max(np.abs(r_int.propagator.entries - u1 @ r_rot.propagator.entries))
-        assert diff < 5 * tol
 
 
 class TestEvolveState:
