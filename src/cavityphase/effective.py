@@ -134,13 +134,31 @@ class EffectiveGate:
         return w @ self.matrix.entries @ w
 
 
-def _sx_values(num_qubits: int, included) -> np.ndarray:
-    """Eigenvalue ``m = sum_j (1 - 2 b_j)`` of S_x over the included qubits
-    on every sigma-x product basis state (bit 0 -> |+>, bit 1 -> |->)."""
+@functools.cache
+def _sx_values(num_qubits: int, included: tuple[int, ...] | range) -> np.ndarray:
+    """Eigenvalue ``m = sum_j (1 - 2 b_j)`` of S_x over the included
+    qubits on every sigma-x product basis state (bit 0 -> |+>, bit 1 ->
+    |->).  Cached per argument pair; read-only."""
     m = np.zeros(2**num_qubits)
     for j in included:
         m += 1 - 2 * basis_bits(num_qubits, j)
+    m.setflags(write=False)
     return m
+
+
+@functools.cache
+def _pairwise_sx(num_qubits: int) -> np.ndarray:
+    """``sum_j (x1 + xj - x1 xj)`` over targets ``j = 2..num_qubits`` on
+    every sigma-x product basis state, with ``x`` the single-qubit S_x
+    eigenvalues: the generator of the combined gate over ``2 lam``.
+    Cached per qubit count; read-only."""
+    x1 = _sx_values(num_qubits, (1,))
+    h = np.zeros(2**num_qubits)
+    for j in range(2, num_qubits + 1):
+        xj = _sx_values(num_qubits, (j,))
+        h += x1 + xj - x1 * xj
+    h.setflags(write=False)
+    return h
 
 
 def _x_diagonal_gate(num_qubits: int, diag: np.ndarray) -> np.ndarray:
@@ -285,11 +303,7 @@ def combined_evolution(space: SpaceDescriptor, params: ParamSet) -> EffectiveGat
             label="combined",
             warnings=tuple(f"condition '{t}' violated" for t in violated),
         )
-    x1 = _sx_values(nq, (1,))
-    h = np.zeros(2**nq)
-    for j in range(2, nq + 1):
-        xj = _sx_values(nq, (j,))
-        h += x1 + xj - x1 * xj
+    h = _pairwise_sx(nq)
     mat = _x_diagonal_gate(nq, np.exp(-2j * params.lam * params.tau * h))
     return EffectiveGate(
         OperatorMatrix(qspace, mat),
@@ -298,6 +312,12 @@ def combined_evolution(space: SpaceDescriptor, params: ParamSet) -> EffectiveGat
     )
 
 
+#: Ideal gates :func:`ideal_ntcp` keeps; gate ``n`` holds ``16 * 4**(n + 1)``
+#: bytes (64 MiB at ``n = 10``).
+_IDEAL_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_IDEAL_CACHE_SIZE)
 def ideal_ntcp(n: int) -> EffectiveGate:
     """Ideal controlled-phase gate of one control (qubit 1) simultaneously
     acting on ``n`` targets (qubits 2..n+1).
@@ -305,7 +325,8 @@ def ideal_ntcp(n: int) -> EffectiveGate:
     Diagonal in the per-qubit sigma-x product basis: when the control is in
     ``|->`` every target in ``|->`` contributes a sign flip, so the
     amplitude is ``(-1)^(number of targets in |->)``; nothing happens when
-    the control is in ``|+>``.  The matrix entries are exact.
+    the control is in ``|+>``.  The matrix entries are exact.  The gate
+    is immutable and cached: repeated calls return the same object.
     """
     if n < 1:
         raise ValueError(f"target count must be >= 1, got {n}")

@@ -10,6 +10,7 @@ eigenvalue +1.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from collections.abc import Callable, Sequence
@@ -421,10 +422,21 @@ def x_basis_transform(num_qubits: int) -> np.ndarray:
 
 def x_basis_product_states(num_qubits: int) -> list[StateVector]:
     """All sigma-x-eigenbasis product states ``|s1 s2 ...>, s in {+,-}``,
-    ordered with + before - per qubit."""
+    ordered with + before - per qubit.  The immutable states are built
+    once per qubit count and shared; each call returns a new list of them."""
+    return list(_x_basis_states(num_qubits))
+
+
+#: Qubit counts whose probe states :func:`x_basis_product_states` keeps;
+#: the states of ``nq`` qubits hold ``16 * 4**nq`` bytes (64 MiB at 11).
+_PROBE_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_PROBE_CACHE_SIZE)
+def _x_basis_states(num_qubits: int) -> tuple[StateVector, ...]:
     space = qubit_space(num_qubits)
     w = x_basis_transform(num_qubits)
-    return [StateVector(space, w[:, i]) for i in range(space.dim)]
+    return tuple(StateVector(space, w[:, i]) for i in range(space.dim))
 
 
 def z_basis_product_states(num_qubits: int) -> list[StateVector]:
@@ -483,15 +495,28 @@ def cavity_coherent(fock_cutoff: int, alpha: complex) -> tuple[DensityMatrix, fl
     """Truncated, renormalized coherent state.
 
     Returns the state and the truncated probability weight (population that
-    would sit above the cutoff in the untruncated state).
+    would sit above the cutoff in the untruncated state).  The magnitudes
+    ``|alpha|^m / sqrt(m!)`` are built as a running sum of logarithms and
+    scaled by their largest value, so no amplitude overflows and the
+    retained amplitudes never all underflow: the state is finite for every
+    finite ``alpha`` and cutoff, and a state the cutoff cannot hold shows
+    as a truncated weight near 1.
     """
+    alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"coherent amplitude must be finite, got {alpha}")
+    if alpha == 0:
+        return cavity_vacuum(fock_cutoff), 0.0
     m = np.arange(fock_cutoff + 1)
-    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, fock_cutoff + 1)))))
-    amps = np.exp(-0.5 * abs(alpha) ** 2) * alpha ** m / np.exp(0.5 * log_fact)
-    kept = float(np.sum(np.abs(amps) ** 2))
-    truncated_weight = 1.0 - kept
+    log_mag = np.concatenate(([0.0], np.cumsum(math.log(abs(alpha)) - 0.5 * np.log(m[1:]))))
+    peak = log_mag.max()
+    scaled = np.exp(log_mag - peak)
+    # kept = exp(-|alpha|^2) sum_m |alpha|^(2m) / m!; the product form of
+    # |alpha|^2 gives inf rather than OverflowError for huge amplitudes
+    kept = float(np.exp(2.0 * peak - abs(alpha) * abs(alpha)) * np.sum(scaled**2))
+    amps = scaled * np.exp(1j * cmath.phase(alpha) * m)
     psi = StateVector.normalized(cavity_space(fock_cutoff), amps)
-    return psi.density_matrix(), truncated_weight
+    return psi.density_matrix(), 1.0 - kept
 
 
 def cavity_thermal(fock_cutoff: int, nbar: float) -> tuple[DensityMatrix, float]:

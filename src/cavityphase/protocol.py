@@ -26,6 +26,7 @@ Hamiltonian; compositions multiply the step propagators directly.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -83,8 +84,9 @@ def _close(x: float, y: float, rtol: float = _MATCH_RTOL) -> bool:
 @dataclass(frozen=True)
 class ParamSet:
     """All protocol frequencies (rad/s) plus the derived times and
-    nonlinear strengths.  Consistency tags are recomputed at construction,
-    so hand-edited sets always carry up-to-date diagnostics."""
+    nonlinear strengths.  The consistency flags are recomputed at
+    construction, so hand-edited sets always carry up-to-date diagnostics;
+    their detail text is formatted on first read of :attr:`consistency`."""
 
     g: float
     g_prime: float
@@ -96,7 +98,6 @@ class ParamSet:
     omega_r: float
     k: int
     n: int
-    consistency: tuple[ConditionCheck, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.g <= 0 or self.g_prime <= 0:
@@ -105,7 +106,7 @@ class ParamSet:
             raise ValueError("detunings must be nonzero (dispersive regime)")
         if self.n < 1:
             raise ValueError(f"target count must be >= 1, got {self.n}")
-        object.__setattr__(self, "consistency", self._check_consistency())
+        object.__setattr__(self, "_flags", self._check_flags())
 
     # Derived quantities; always recomputed from the stored frequencies.
     @property
@@ -129,71 +130,65 @@ class ParamSet:
         """Total dynamical time ``2 tau + tau_prime``."""
         return 2.0 * self.tau + self.tau_prime
 
-    def _check_consistency(self) -> tuple[ConditionCheck, ...]:
-        checks = []
-        sign_ok = self.delta < 0 < self.delta_prime
-        checks.append(
-            ConditionCheck(
-                "detuning-sign",
-                sign_ok,
-                f"delta = {self.delta:.6g} (needs < 0), delta' = {self.delta_prime:.6g} (needs > 0)",
-            )
-        )
-        rabi_ok = _close(self.omega * self.tau, self.omega_prime * self.tau_prime)
-        checks.append(
-            ConditionCheck(
-                "rabi-matching",
-                rabi_ok,
-                f"omega*tau = {self.omega * self.tau:.12g} vs omega'*tau' = "
-                f"{self.omega_prime * self.tau_prime:.12g}",
-            )
-        )
-        lam_ok = _close(self.lam * self.tau, self.lam_prime * self.tau_prime)
-        checks.append(
-            ConditionCheck(
-                "lambda-matching",
-                lam_ok,
-                f"lam*tau = {self.lam * self.tau:.12g} vs lam'*tau' = "
-                f"{self.lam_prime * self.tau_prime:.12g}",
-            )
-        )
+    def _check_flags(self) -> tuple[tuple[str, bool], ...]:
+        """``(tag, satisfied)`` of every condition, hard tags first."""
         step3_ok = _close(self.omega1, 4.0 * self.lam * self.n + self.omega) and _close(
             self.omega_r, 4.0 * self.lam
-        )
-        checks.append(
-            ConditionCheck(
-                "step3-drive",
-                step3_ok,
-                f"omega1 = {self.omega1:.12g} vs 4*lam*n + omega = "
-                f"{4.0 * self.lam * self.n + self.omega:.12g}; omega_r = "
-                f"{self.omega_r:.12g} vs 4*lam = {4.0 * self.lam:.12g}",
-            )
-        )
-        parity_ok = _close(4.0 * self.g**2 / self.delta**2, 2.0 * self.k + 1.0)
-        checks.append(
-            ConditionCheck(
-                "parity",
-                parity_ok,
-                f"4 g^2/delta^2 = {4.0 * self.g**2 / self.delta**2:.12g} vs 2k+1 = {2 * self.k + 1}",
-            )
         )
         regime_ok = self.omega >= REGIME_FACTOR * max(
             abs(self.delta), self.g
         ) and self.omega_prime >= REGIME_FACTOR * max(abs(self.delta_prime), self.g_prime)
-        checks.append(
-            ConditionCheck(
-                "regime",
-                regime_ok,
-                f"strong-drive regime wants omega >= {REGIME_FACTOR:g} * max(|delta|, g); "
-                f"omega/max = {self.omega / max(abs(self.delta), self.g):.3g}, "
-                f"omega'/max = {self.omega_prime / max(abs(self.delta_prime), self.g_prime):.3g}",
-            )
+        return (
+            ("detuning-sign", self.delta < 0 < self.delta_prime),
+            ("rabi-matching", _close(self.omega * self.tau, self.omega_prime * self.tau_prime)),
+            ("lambda-matching", _close(self.lam * self.tau, self.lam_prime * self.tau_prime)),
+            ("step3-drive", step3_ok),
+            ("parity", _close(4.0 * self.g**2 / self.delta**2, 2.0 * self.k + 1.0)),
+            ("regime", regime_ok),
         )
-        return tuple(checks)
+
+    def _detail(self, tag: str) -> str:
+        """Human-readable numbers behind one condition."""
+        if tag == "detuning-sign":
+            return (
+                f"delta = {self.delta:.6g} (needs < 0), "
+                f"delta' = {self.delta_prime:.6g} (needs > 0)"
+            )
+        if tag == "rabi-matching":
+            return (
+                f"omega*tau = {self.omega * self.tau:.12g} vs omega'*tau' = "
+                f"{self.omega_prime * self.tau_prime:.12g}"
+            )
+        if tag == "lambda-matching":
+            return (
+                f"lam*tau = {self.lam * self.tau:.12g} vs lam'*tau' = "
+                f"{self.lam_prime * self.tau_prime:.12g}"
+            )
+        if tag == "step3-drive":
+            return (
+                f"omega1 = {self.omega1:.12g} vs 4*lam*n + omega = "
+                f"{4.0 * self.lam * self.n + self.omega:.12g}; omega_r = "
+                f"{self.omega_r:.12g} vs 4*lam = {4.0 * self.lam:.12g}"
+            )
+        if tag == "parity":
+            return (
+                f"4 g^2/delta^2 = {4.0 * self.g**2 / self.delta**2:.12g} "
+                f"vs 2k+1 = {2 * self.k + 1}"
+            )
+        return (
+            f"strong-drive regime wants omega >= {REGIME_FACTOR:g} * max(|delta|, g); "
+            f"omega/max = {self.omega / max(abs(self.delta), self.g):.3g}, "
+            f"omega'/max = {self.omega_prime / max(abs(self.delta_prime), self.g_prime):.3g}"
+        )
+
+    @functools.cached_property
+    def consistency(self) -> tuple[ConditionCheck, ...]:
+        """Every condition with its numbers, in the order of the flags."""
+        return tuple(ConditionCheck(tag, ok, self._detail(tag)) for tag, ok in self._flags)
 
     @property
     def violated_tags(self) -> tuple[str, ...]:
-        return tuple(c.tag for c in self.consistency if not c.satisfied)
+        return tuple(tag for tag, ok in self._flags if not ok)
 
     @property
     def is_consistent(self) -> bool:
@@ -313,6 +308,16 @@ class ScheduleStep:
         object.__setattr__(self, "annotations", MappingProxyType(dict(self.annotations)))
 
 
+def _hz(x: float | None) -> float | None:
+    """Angular frequency (rad/s) as cyclic Hz; ``None`` stays ``None``."""
+    return None if x is None else float(x / TWO_PI)
+
+
+def _rad(x: float | None) -> float | None:
+    """Cyclic Hz as angular frequency (rad/s); ``None`` stays ``None``."""
+    return None if x is None else float(x * TWO_PI)
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Three dynamical steps plus any non-dynamical overhead times."""
@@ -343,10 +348,6 @@ class Schedule:
 
     def to_json_dict(self) -> dict:
         """Serialize to the documented interchange shape (frequencies in Hz)."""
-
-        def hz(x: float | None) -> float | None:
-            return None if x is None else float(x / TWO_PI)
-
         return {
             "format": "cavityphase-schedule-v1",
             "realization": self.realization,
@@ -359,13 +360,13 @@ class Schedule:
                         {
                             "index": j + 1,
                             "drive": {
-                                "rabi_hz": hz(q.drive_rabi),
+                                "rabi_hz": _hz(q.drive_rabi),
                                 "phase_rad": float(q.drive_phase),
-                                "freq_hz": hz(q.drive_freq),
+                                "freq_hz": _hz(q.drive_freq),
                             },
                             "coupled": q.coupled,
-                            "detuning_hz": hz(q.detuning),
-                            "coupling_hz": hz(q.coupling),
+                            "detuning_hz": _hz(q.detuning),
+                            "coupling_hz": _hz(q.coupling),
                         }
                         for j, q in enumerate(s.qubits)
                     ],
@@ -387,9 +388,6 @@ class Schedule:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> Schedule:
-        def rad(x: float | None) -> float | None:
-            return None if x is None else float(x * TWO_PI)
-
         steps = []
         for s in data["steps"]:
             qubits = []
@@ -397,12 +395,12 @@ class Schedule:
                 drive = q["drive"]
                 qubits.append(
                     QubitStepSettings(
-                        drive_rabi=rad(drive["rabi_hz"]) or 0.0,
+                        drive_rabi=_rad(drive["rabi_hz"]) or 0.0,
                         drive_phase=float(drive["phase_rad"]),
                         coupled=bool(q["coupled"]),
-                        detuning=rad(q["detuning_hz"]),
-                        coupling=rad(q.get("coupling_hz")) or 0.0,
-                        drive_freq=rad(drive["freq_hz"]),
+                        detuning=_rad(q["detuning_hz"]),
+                        coupling=_rad(q.get("coupling_hz")) or 0.0,
+                        drive_freq=_rad(drive["freq_hz"]),
                     )
                 )
             steps.append(
@@ -727,11 +725,11 @@ def schedule_atoms(params: ParamSet, tau_a: float, tau_m: float) -> Schedule:
 
 
 def _regime_warnings(params: ParamSet) -> tuple[str, ...]:
-    out = []
-    for check in params.consistency:
-        if check.tag in SOFT_TAGS and not check.satisfied:
-            out.append(f"condition '{check.tag}' violated: {check.detail}")
-    return tuple(out)
+    return tuple(
+        f"condition '{tag}' violated: {params._detail(tag)}"
+        for tag in params.violated_tags
+        if tag in SOFT_TAGS
+    )
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Tests for leakage estimates, robustness/sensitivity analyses and the
 experiment orchestration."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from conftest import reference_circuit
 
+import cavityphase.analysis as analysis
 from cavityphase.analysis import (
     MAX_SPACE_DIM,
     ConfigError,
@@ -29,6 +31,7 @@ from cavityphase.hilbert import (
     SIGMA_PLUS,
     OperatorMatrix,
     StateVector,
+    cavity_coherent,
     cavity_ops,
     channel_fidelity,
     embed_qubit_op,
@@ -37,7 +40,13 @@ from cavityphase.hilbert import (
     x_basis_product_states,
     z_basis_product_states,
 )
-from cavityphase.protocol import schedule_method_a, schedule_method_b, solve_parameters
+from cavityphase.protocol import (
+    schedule_atoms,
+    schedule_charge,
+    schedule_method_a,
+    schedule_method_b,
+    solve_parameters,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -109,13 +118,57 @@ class TestCavityStates:
             make_cavity_state(label, 5)
         assert err.value.field_name == "cavity_states"
 
-    def test_truncation_rejection_is_a_config_error(self):
+    def test_truncation_rejection_is_a_config_error(self, monkeypatch):
         with pytest.raises(ConfigError) as err:
             make_cavity_state("coherent:3", 5)
         assert err.value.field_name == "cavity_states"
-        # a weight that cannot be computed is rejected, not passed on as NaN
-        with np.errstate(all="ignore"), pytest.raises(ConfigError, match="nan"):
+        # a huge amplitude puts all its weight above the cutoff
+        with pytest.raises(ConfigError, match="weight 1 above"):
             make_cavity_state("coherent:1e154", 5)
+        # a weight that cannot be computed is rejected, not passed on as NaN
+        vacuum, _ = make_cavity_state("vacuum", 5)
+        monkeypatch.setattr(analysis, "cavity_coherent", lambda cutoff, alpha: (vacuum, math.nan))
+        with pytest.raises(ConfigError, match="nan"):
+            make_cavity_state("coherent:1", 5)
+
+    @pytest.mark.parametrize(
+        "label, cutoff", [("coherent:30", 5), ("coherent:1e200", 5), ("coherent:40", 1023)]
+    )
+    def test_amplitude_beyond_the_cutoff_is_a_config_error(self, label, cutoff):
+        with np.errstate(over="raise", invalid="raise"), pytest.raises(
+            ConfigError, match="weight 1 above"
+        ) as err:
+            make_cavity_state(label, cutoff)
+        assert err.value.field_name == "cavity_states"
+
+    def test_coherent_state_at_a_large_cutoff_is_finite(self):
+        # 5^m / sqrt(m!) overflows long before m = 600 when formed directly;
+        # the far tail underflows to zero, which is harmless
+        with np.errstate(over="raise", invalid="raise"):
+            state, weight = make_cavity_state("coherent:5", 600)
+        assert np.all(np.isfinite(state.entries))
+        assert abs(weight) < 1e-13
+        assert state.trace == pytest.approx(1.0, abs=1e-13)
+        assert state.mean_photon_number() == pytest.approx(25.0, abs=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.3, 1, -1, 1j, 0.3 + 0.4j, -2.5 + 1j, 3, 2.1 - 2.1j])
+    def test_coherent_state_matches_the_direct_formula(self, alpha):
+        # exp(-|alpha|^2 / 2) alpha^m / sqrt(m!), fine while |alpha| <= 3
+        alpha = complex(alpha)
+        for cutoff in (1, 3, 5, 8, 20, 40):
+            m = np.arange(cutoff + 1)
+            log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, cutoff + 1)))))
+            amps = np.exp(-0.5 * abs(alpha) ** 2) * alpha**m / np.exp(0.5 * log_fact)
+            kept = np.sum(np.abs(amps) ** 2)
+            state, weight = cavity_coherent(cutoff, alpha)
+            assert np.max(np.abs(state.entries - np.outer(amps, amps.conj()) / kept)) <= 1e-14
+            assert abs(weight - (1.0 - kept)) <= 1e-14
+
+    def test_zero_amplitude_is_the_vacuum(self):
+        state, weight = cavity_coherent(4, 0.0)
+        assert weight == 0.0 and state.entries[0, 0] == 1.0
+        with pytest.raises(ValueError, match="finite"):
+            cavity_coherent(4, complex("inf"))
 
 
 def quick_schedule(n=1, ratio=10.0, g=1.0, k=0):
@@ -525,6 +578,85 @@ class TestBatchedReductions:
                         term = q.coupling * np.exp(1j * q.detuning * t) * (a.entries @ sp)
                         expected += term + term.conj().T
                 assert np.max(np.abs(h(t) - expected)) < 1e-13
+
+
+def dense_step_hamiltonian(space, step, scales):
+    """The dense build the index tables replace: every drive embedded as a
+    2x2 operator, every coupling as ``coupling * sigma+_j (x) a`` on the
+    tensor shape, summed in the same order."""
+    nq = space.num_qubits
+    a_local = np.diag(np.sqrt(np.arange(1, space.cavity_dim, dtype=float)), k=1).astype(complex)
+    static = np.zeros((space.dim, space.dim), dtype=complex)
+    terms = []
+    for j, q in enumerate(step.qubits, start=1):
+        if q.drive_rabi > 0:
+            drive = 0.5 * q.drive_rabi * scales[j - 1] * (
+                np.exp(1j * q.drive_phase) * SIGMA_MINUS
+                + np.exp(-1j * q.drive_phase) * SIGMA_PLUS
+            )
+            static += embed_qubit_op(space, j, drive).entries
+        if q.coupled:
+            sp = embed_qubit_op(qubit_space(nq), j, SIGMA_PLUS).entries
+            term = q.coupling * sp[:, None, :, None] * a_local[None, :, None, :]
+            terms.append((q.detuning, term.reshape(space.dim, space.dim)))
+
+    def builder(t):
+        h = static.copy()
+        for delta, term in terms:
+            rot = np.exp(1j * delta * t) * term
+            h += rot + rot.conj().T
+        return h
+
+    return builder
+
+
+class TestIndexTableBuild:
+    """``step_hamiltonian`` scatters into index tables; its matrices must
+    equal the dense build exactly, not just within round-off."""
+
+    @pytest.mark.parametrize("realization", ["method-a", "method-b", "charge", "atomic"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_the_dense_build(self, realization, n):
+        rng = np.random.default_rng(n)
+        factors = [None] if realization == "atomic" else [None, 50.0, 37.5]
+        for k, decouple_factor, cutoff in itertools.product((0, 1), factors, (1, 3, 5)):
+            params = solve_parameters(TWO_PI * 22e6, k, 15.0, n)
+            sched = {
+                "method-a": lambda: schedule_method_a(params, decouple_factor, TWO_PI * 6e9),
+                "method-b": lambda: schedule_method_b(params, decouple_factor, TWO_PI * 6e9),
+                "charge": lambda: schedule_charge(
+                    params, reference_circuit(), TWO_PI * 10e9, decouple_factor
+                ),
+                "atomic": lambda: schedule_atoms(params, 1e-6, 1e-6),
+            }[realization]()
+            space = make_space(n + 1, cutoff)
+            for scales in (None, 1.0 + rng.uniform(-0.05, 0.05, n + 1)):
+                ones = np.ones(n + 1) if scales is None else scales
+                for step in sched.steps:
+                    h = step_hamiltonian(space, step, scales)
+                    dense = dense_step_hamiltonian(space, step, ones)
+                    for t in (0.0, 0.37 * step.duration, step.duration):
+                        assert np.array_equal(h(t), dense(t))
+
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_tables_are_cached_and_read_only(self, shift):
+        for j in (1, 2, 3):
+            tables = analysis._raising_table(3, 4, j, shift)
+            assert analysis._raising_table(3, 4, j, shift) is tables
+            for arr in tables:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+            rows, cols, root_m = tables
+            # |1><0|_j (x) |m - shift><m| as the dense product
+            sigma_plus = embed_qubit_op(qubit_space(3), j, SIGMA_PLUS).entries.real
+            ladder = np.eye(4) if shift == 0 else np.diag(np.sqrt(np.arange(1.0, 4.0)), k=1)
+            expected = np.kron(sigma_plus, ladder)
+            got = np.zeros_like(expected)
+            got[rows, cols] = root_m if shift else 1.0
+            assert np.array_equal(got, expected)
+        info = analysis._raising_table.cache_info()
+        assert info.maxsize == analysis._TABLE_CACHE_SIZE == 128
 
 
 class TestConfigLimits:

@@ -302,7 +302,10 @@ def test_oversized_config_exits_one(tmp_path, capsys):
     assert "fock_cutoff" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("label", ["fock:x", "bogus", "coherent:nan", "thermal:inf", "coherent:3"])
+@pytest.mark.parametrize(
+    "label",
+    ["fock:x", "bogus", "coherent:nan", "thermal:inf", "coherent:3", "coherent:30", "coherent:1e200"],
+)
 def test_bad_cavity_state_exits_one_before_propagating(tmp_path, capsys, monkeypatch, label):
     import cavityphase.analysis as analysis
 

@@ -9,6 +9,9 @@ import pytest
 from scipy.linalg import expm
 
 from cavityphase.effective import (
+    _IDEAL_CACHE_SIZE,
+    _pairwise_sx,
+    _sx_values,
     _xor_index,
     ab_coefficients,
     combined_evolution,
@@ -25,6 +28,7 @@ from cavityphase.errors import SingularDetuningError, WrongCaseError
 from cavityphase.hilbert import (
     HADAMARD,
     SIGMA_X,
+    basis_bits,
     embed_qubit_op,
     gate_fidelity,
     make_space,
@@ -575,3 +579,34 @@ class TestDiagonalClosedFormsAgainstDenseRoute:
             index[0, 0] = 1
         dim = 2**nq
         assert index.tolist() == [[i ^ k for k in range(dim)] for i in range(dim)]
+
+    @pytest.mark.parametrize("nq", range(1, 6))
+    def test_sx_tables_are_cached_and_read_only(self, nq):
+        singles = [1 - 2 * basis_bits(nq, j) for j in range(1, nq + 1)]
+        total = _sx_values(nq, range(1, nq + 1))
+        pairwise = _pairwise_sx(nq)
+        assert _sx_values(nq, range(1, nq + 1)) is total
+        assert _pairwise_sx(nq) is pairwise
+        for table in (total, pairwise, _sx_values(nq, (1,))):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+        # the per-call loops the caches replace, summed in the same order
+        expected = np.zeros(2**nq)
+        for x in singles:
+            expected += x
+        assert np.array_equal(total, expected)
+        expected = np.zeros(2**nq)
+        for x in singles[1:]:
+            expected += singles[0] + x - singles[0] * x
+        assert np.array_equal(pairwise, expected)
+
+    def test_ideal_gate_is_cached_in_a_bounded_cache(self):
+        gate = ideal_ntcp(3)
+        assert ideal_ntcp(3) is gate
+        assert not gate.matrix.entries.flags.writeable
+        with pytest.raises(ValueError):
+            gate.matrix.entries[0, 0] = 0.0
+        info = ideal_ntcp.cache_info()
+        assert info.maxsize == _IDEAL_CACHE_SIZE == 8
+        assert info.currsize <= info.maxsize

@@ -1,7 +1,9 @@
 """Tests for parameter solving, schedules, serialization and budgets."""
 
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,8 @@ from cavityphase.protocol import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+GOLDEN = Path(__file__).with_name("golden")
 
 
 class TestSolveParameters:
@@ -101,6 +105,84 @@ def hand_built_inconsistent(n=1):
         k=base.k,
         n=base.n,
     )
+
+
+class TestConditionText:
+    """The detail text of every condition, formatted on first read, and the
+    flags the schedules and the CLI read without it."""
+
+    CONSISTENT = (
+        ("detuning-sign", True, "delta = -2.7646e+08 (needs < 0), delta' = 2.7646e+08 (needs > 0)"),
+        ("rabi-matching", True, "omega*tau = 47.1238898038 vs omega'*tau' = 47.1238898038"),
+        ("lambda-matching", True, "lam*tau = 0.392699081699 vs lam'*tau' = 0.392699081699"),
+        (
+            "step3-drive",
+            True,
+            "omega1 = 2211681228.13 vs 4*lam*n + omega = 2211681228.13; "
+            "omega_r = 69115038.379 vs 4*lam = 69115038.379",
+        ),
+        ("parity", True, "4 g^2/delta^2 = 1 vs 2k+1 = 1"),
+        (
+            "regime",
+            True,
+            "strong-drive regime wants omega >= 5 * max(|delta|, g); "
+            "omega/max = 7.5, omega'/max = 7.5",
+        ),
+    )
+    WEAK_DRIVE = (
+        ("detuning-sign", True, "delta = -1.59614e+08 (needs < 0), delta' = 1.59614e+08 (needs > 0)"),
+        ("rabi-matching", True, "omega*tau = 10.8827961854 vs omega'*tau' = 10.8827961854"),
+        ("lambda-matching", True, "lam*tau = 1.1780972451 vs lam'*tau' = 1.1780972451"),
+        (
+            "step3-drive",
+            True,
+            "omega1 = 396170911.555 vs 4*lam*n + omega = 396170911.555; "
+            "omega_r = 119710758.039 vs 4*lam = 119710758.039",
+        ),
+        ("parity", True, "4 g^2/delta^2 = 3 vs 2k+1 = 3"),
+        (
+            "regime",
+            False,
+            "strong-drive regime wants omega >= 5 * max(|delta|, g); "
+            "omega/max = 1.73, omega'/max = 1.73",
+        ),
+    )
+
+    def test_consistent_set(self):
+        p = solve_parameters(TWO_PI * 22e6, 0, 15, 2)
+        assert [(c.tag, c.satisfied, c.detail) for c in p.consistency] == list(self.CONSISTENT)
+        assert p.consistency is p.consistency
+        assert schedule_method_a(p).warnings == ()
+
+    def test_regime_violating_set(self):
+        p = solve_parameters(TWO_PI * 22e6, 1, 2, 1)
+        assert [(c.tag, c.satisfied, c.detail) for c in p.consistency] == list(self.WEAK_DRIVE)
+        assert p.violated_tags == ("regime",)
+        assert schedule_method_a(p).warnings == (
+            f"condition 'regime' violated: {self.WEAK_DRIVE[-1][2]}",
+        )
+        assert p.to_dict()["conditions"][-1] == {
+            "tag": "regime", "satisfied": False, "detail": self.WEAK_DRIVE[-1][2]
+        }
+
+    def test_replaced_field_recomputes_the_flags(self):
+        p = solve_parameters(TWO_PI * 22e6, 0, 15, 2)
+        assert p.consistency  # a cached text must not leak into the copy
+        bad = dataclasses.replace(p, omega_prime=1.1 * p.omega_prime)
+        assert bad.violated_tags == ("rabi-matching",)
+        assert not bad.is_consistent
+        assert [c.detail for c in bad.consistency if not c.satisfied] == [
+            "omega*tau = 47.1238898038 vs omega'*tau' = 51.8362787842"
+        ]
+        with pytest.raises(InconsistentParametersError):
+            schedule_method_a(bad)
+
+    def test_consistency_is_not_a_constructor_argument(self):
+        p = solve_parameters(1.0, 0, 15, 1)
+        fields = {f.name: getattr(p, f.name) for f in dataclasses.fields(p)}
+        assert "consistency" not in fields
+        with pytest.raises(TypeError):
+            ParamSet(**fields, consistency=())
 
 
 class TestSchedules:
@@ -266,6 +348,22 @@ class TestScheduleSerialization:
         text = s.dumps()
         assert "\n" not in text
         assert json.loads(text) == json.loads(json.dumps(s.to_json_dict(), indent=2))
+
+    @pytest.mark.parametrize("realization", REALIZATIONS)
+    def test_dumps_matches_the_golden_text(self, realization):
+        g = TWO_PI * 22e6
+        consistent = solve_parameters(g, 0, 15, 2)
+        build = {
+            "method-a": lambda: schedule_method_a(consistent, None, TWO_PI * 6e9),
+            "method-b": lambda: schedule_method_b(consistent, 50.0, TWO_PI * 6e9),
+            "charge": lambda: schedule_charge(
+                solve_parameters(g, 0, 15, 1), reference_circuit(), TWO_PI * 10e9, 50.0
+            ),
+            "atomic": lambda: schedule_atoms(solve_parameters(g, 1, 2, 1), 1e-6, 2e-6),
+        }[realization]
+        golden = (GOLDEN / f"schedule-{realization}.json").read_text()
+        assert build().dumps() + "\n" == golden
+        assert Schedule.loads(golden).dumps() + "\n" == golden
 
     @pytest.mark.parametrize("realization", REALIZATIONS)
     def test_loads_reads_indented_text(self, realization):
