@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-import functools
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -37,12 +36,14 @@ from .hilbert import (
     OperatorMatrix,
     SpaceDescriptor,
     StateVector,
+    annihilation,
     basis_bits,
     cavity_coherent,
     cavity_fock,
     cavity_thermal,
     cavity_vacuum,
     channel_fidelity,
+    embed_qubit_op,
     gate_fidelity,
     make_space,
     qubit_space,
@@ -142,31 +143,6 @@ def leakage_probabilities(spec: LeakageSpec) -> tuple[float, float | None]:
     return p2, p3
 
 
-#: Index tables :func:`_raising_table` keeps: two per qubit per space
-#: shape, each ``12 * dim`` bytes or less (48 KiB at ``MAX_SPACE_DIM``).
-_TABLE_CACHE_SIZE = 128
-
-
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _raising_table(
-    num_qubits: int, cavity_dim: int, qubit_index: int, shift: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzero entries of ``|1><0|_j (x) |m - shift><m|`` (``j`` =
-    ``qubit_index``, 1-based) on the qubits-plus-cavity basis, cavity last:
-    row and column indices and the ladder factor ``sqrt(m)``.  Shift 0 is
-    ``sigma+_j`` alone, shift 1 is ``a sigma+_j``.  Cached per argument
-    tuple; the arrays are read-only."""
-    qubit_cols = np.flatnonzero(basis_bits(num_qubits, qubit_index) == 0)
-    qubit_rows = qubit_cols + 2 ** (num_qubits - qubit_index)
-    m = np.arange(shift, cavity_dim)
-    rows = (qubit_rows[:, None] * cavity_dim + (m - shift)).reshape(-1)
-    cols = (qubit_cols[:, None] * cavity_dim + m).reshape(-1)
-    root_m = np.tile(np.sqrt(m.astype(float)), qubit_cols.size)
-    for arr in (rows, cols, root_m):
-        arr.setflags(write=False)
-    return rows, cols, root_m
-
-
 def step_hamiltonian(
     space: SpaceDescriptor,
     step: ScheduleStep,
@@ -194,12 +170,12 @@ def step_hamiltonian(
         raise ValueError(f"need one Rabi scale per qubit, got shape {scales.shape}")
 
     dim = space.dim
-    cavity_dim = space.cavity_dim if space.has_cavity else 1
     static = np.zeros((dim, dim), dtype=complex)
-    # a sigma+_j entries of every coupled qubit: flat positions of the
-    # entries and of their transposes, detunings and amplitudes
-    up, down, rates, amps = [], [], [], []
+    oscillators: list[tuple[float, np.ndarray]] = []
     max_freq = 0.0
+    if space.has_cavity:
+        qspace = space.qubit_subspace()
+        a_local = annihilation(space.fock_cutoff)
     driven_detunings: set[float] = set()
     undriven_coupled: list[tuple[int, float]] = []
     for j, q in enumerate(step.qubits, start=1):
@@ -214,31 +190,22 @@ def step_hamiltonian(
                 np.exp(1j * q.drive_phase) * SIGMA_MINUS
                 + np.exp(-1j * q.drive_phase) * SIGMA_PLUS
             )
-            rows, cols, _ = _raising_table(nq, cavity_dim, j, 0)
-            static[rows, cols] += drive[1, 0]
-            static[cols, rows] += drive[0, 1]
+            static += embed_qubit_op(space, j, drive).entries
             max_freq = max(max_freq, rabi)
         if q.coupled:
             if not space.has_cavity:
                 raise ValueError("coupled step needs a cavity factor in the space")
-            rows, cols, root_m = _raising_table(nq, cavity_dim, j, 1)
-            up.append(rows * dim + cols)
-            down.append(cols * dim + rows)
-            rates.append(np.full(rows.size, q.detuning))
-            amps.append(q.coupling * root_m)
+            # a sigma+_j = sigma+_j (x) a on the (qubits, cavity) tensor shape
+            sp = embed_qubit_op(qspace, j, SIGMA_PLUS).entries
+            term = q.coupling * sp[:, None, :, None] * a_local[None, :, None, :]
+            oscillators.append((q.detuning, term.reshape(dim, dim)))
             max_freq = max(max_freq, abs(q.detuning))
-    oscillating = bool(up)
-    if oscillating:
-        up, down = np.concatenate(up), np.concatenate(down)
-        rates, amps = np.concatenate(rates), np.concatenate(amps).astype(complex)
 
     def builder(t: float) -> np.ndarray:
         h = static.copy()
-        if oscillating:
-            rot = np.exp(1j * t * rates) * amps
-            flat = h.reshape(-1)
-            flat[up] += rot
-            flat[down] += rot.conj()
+        for delta, term in oscillators:
+            rot = np.exp(1j * delta * t) * term
+            h += rot + rot.conj().T
         return h
 
     frame = None

@@ -422,21 +422,10 @@ def x_basis_transform(num_qubits: int) -> np.ndarray:
 
 def x_basis_product_states(num_qubits: int) -> list[StateVector]:
     """All sigma-x-eigenbasis product states ``|s1 s2 ...>, s in {+,-}``,
-    ordered with + before - per qubit.  The immutable states are built
-    once per qubit count and shared; each call returns a new list of them."""
-    return list(_x_basis_states(num_qubits))
-
-
-#: Qubit counts whose probe states :func:`x_basis_product_states` keeps;
-#: the states of ``nq`` qubits hold ``16 * 4**nq`` bytes (64 MiB at 11).
-_PROBE_CACHE_SIZE = 8
-
-
-@functools.lru_cache(maxsize=_PROBE_CACHE_SIZE)
-def _x_basis_states(num_qubits: int) -> tuple[StateVector, ...]:
+    ordered with + before - per qubit."""
     space = qubit_space(num_qubits)
     w = x_basis_transform(num_qubits)
-    return tuple(StateVector(space, w[:, i]) for i in range(space.dim))
+    return [StateVector(space, w[:, i]) for i in range(space.dim)]
 
 
 def z_basis_product_states(num_qubits: int) -> list[StateVector]:

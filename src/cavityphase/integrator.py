@@ -22,7 +22,6 @@ within one build.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings as _warnings
 from dataclasses import dataclass, field
@@ -139,23 +138,14 @@ def _initial_grid(t0: float, t1: float, max_frequency: float, oversample: int) -
 def _top_level_leakage(u: np.ndarray, space: SpaceDescriptor) -> float:
     if not space.has_cavity:
         return 0.0
-    block = u[_top_block_index(space.dim, space.cavity_dim)]
+    cd = space.cavity_dim
+    idx = np.arange(space.dim)
+    top = (idx % cd) == cd - 1
+    block = u[np.ix_(top, ~top)]
     if block.size == 0:
         return 0.0
     smax = np.linalg.svd(block, compute_uv=False)[0]
     return float(smax**2)
-
-
-@functools.lru_cache(maxsize=16)
-def _top_block_index(dim: int, cavity_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.ix_`` index of the block from every basis state below the top
-    Fock level to every state on it, cavity last.  Cached for the last 16
-    shapes (``8 * dim`` bytes each); the index arrays are read-only."""
-    top = np.arange(dim) % cavity_dim == cavity_dim - 1
-    index = np.ix_(top, ~top)
-    for arr in index:
-        arr.setflags(write=False)
-    return index
 
 
 def _frame_propagator(

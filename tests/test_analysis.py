@@ -581,9 +581,9 @@ class TestBatchedReductions:
 
 
 def dense_step_hamiltonian(space, step, scales):
-    """The dense build the index tables replace: every drive embedded as a
-    2x2 operator, every coupling as ``coupling * sigma+_j (x) a`` on the
-    tensor shape, summed in the same order."""
+    """A reference build: every drive embedded as a 2x2 operator, every
+    coupling as ``coupling * sigma+_j (x) a`` on the tensor shape, summed
+    in the same order as ``step_hamiltonian``."""
     nq = space.num_qubits
     a_local = np.diag(np.sqrt(np.arange(1, space.cavity_dim, dtype=float)), k=1).astype(complex)
     static = np.zeros((space.dim, space.dim), dtype=complex)
@@ -610,9 +610,9 @@ def dense_step_hamiltonian(space, step, scales):
     return builder
 
 
-class TestIndexTableBuild:
-    """``step_hamiltonian`` scatters into index tables; its matrices must
-    equal the dense build exactly, not just within round-off."""
+class TestStepHamiltonianExact:
+    """``step_hamiltonian``'s matrices must equal the reference build
+    exactly, not just within round-off."""
 
     @pytest.mark.parametrize("realization", ["method-a", "method-b", "charge", "atomic"])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -637,26 +637,6 @@ class TestIndexTableBuild:
                     dense = dense_step_hamiltonian(space, step, ones)
                     for t in (0.0, 0.37 * step.duration, step.duration):
                         assert np.array_equal(h(t), dense(t))
-
-    @pytest.mark.parametrize("shift", [0, 1])
-    def test_tables_are_cached_and_read_only(self, shift):
-        for j in (1, 2, 3):
-            tables = analysis._raising_table(3, 4, j, shift)
-            assert analysis._raising_table(3, 4, j, shift) is tables
-            for arr in tables:
-                assert not arr.flags.writeable
-                with pytest.raises(ValueError):
-                    arr[0] = 0
-            rows, cols, root_m = tables
-            # |1><0|_j (x) |m - shift><m| as the dense product
-            sigma_plus = embed_qubit_op(qubit_space(3), j, SIGMA_PLUS).entries.real
-            ladder = np.eye(4) if shift == 0 else np.diag(np.sqrt(np.arange(1.0, 4.0)), k=1)
-            expected = np.kron(sigma_plus, ladder)
-            got = np.zeros_like(expected)
-            got[rows, cols] = root_m if shift else 1.0
-            assert np.array_equal(got, expected)
-        info = analysis._raising_table.cache_info()
-        assert info.maxsize == analysis._TABLE_CACHE_SIZE == 128
 
 
 class TestConfigLimits:

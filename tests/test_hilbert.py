@@ -4,7 +4,6 @@ partial trace and fidelity metrics."""
 import numpy as np
 import pytest
 
-from cavityphase import hilbert
 from cavityphase.errors import DimensionMismatchError
 from cavityphase.hilbert import (
     HADAMARD,
@@ -378,19 +377,6 @@ class TestCachedTables:
             # the bit of qubit j is the popcount parity of i & (its mask)
             mask = 1 << (nq - j)
             assert bits.tolist() == [bin(i & mask).count("1") % 2 for i in range(2**nq)]
-
-    def test_x_basis_probes_are_built_once_per_qubit_count(self):
-        probes = x_basis_product_states(3)
-        again = x_basis_product_states(3)
-        assert again is not probes and len(again) == 8
-        assert all(a is b for a, b in zip(again, probes))
-        probes.clear()  # each call owns its list
-        assert len(x_basis_product_states(3)) == 8
-        w = x_basis_transform(3)
-        for i, psi in enumerate(again):
-            assert not psi.amplitudes.flags.writeable
-            assert np.array_equal(psi.amplitudes, w[:, i])
-        assert hilbert._x_basis_states.cache_info().maxsize == hilbert._PROBE_CACHE_SIZE == 8
 
     def test_x_basis_transform_returns_a_fresh_array(self):
         w = x_basis_transform(3)

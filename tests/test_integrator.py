@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from conftest import rwa_hamiltonian
 
-from cavityphase import integrator
 from cavityphase.effective import factorized_propagator
 from cavityphase.errors import (
     DimensionMismatchError,
@@ -110,20 +109,6 @@ class TestPropagate:
         with pytest.raises(StepBudgetExceededError) as err:
             propagate(rwa_hamiltonian(space, g, delta), 0.0, 50.0, 1e-8, step_budget=30)
         assert err.value.partial is not None
-
-
-def test_top_block_index_is_cached_and_read_only():
-    index = integrator._top_block_index(12, 3)
-    assert integrator._top_block_index(12, 3) is index
-    for arr in index:
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0
-    # two qubits, cutoff 2: rows on photon number 2, columns below it
-    rows, cols = index
-    assert rows.ravel().tolist() == [2, 5, 8, 11]
-    assert cols.ravel().tolist() == [0, 1, 3, 4, 6, 7, 9, 10]
-    assert integrator._top_block_index.cache_info().maxsize == 16
 
 
 class TestEvolveState:
